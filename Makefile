@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke clean
+.PHONY: all build test bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke test-stress clean
 
 # One UTC stamp per make invocation; every bench target passes it down so
 # each artifact lands both at <name>-latest.json and as an immutable
@@ -106,6 +106,12 @@ serve-smoke:
 # (scripts/fleet_smoke.sh; runs in CI next to serve-smoke).
 fleet-smoke:
 	bash scripts/fleet_smoke.sh
+
+# The daemon's "server" and "fleet" test groups, 20 runs beside two busy
+# loops: fails on the first failure or on a run past 10 min
+# (scripts/test_stress.sh; a CI step).
+test-stress:
+	bash scripts/test_stress.sh
 
 clean:
 	dune clean

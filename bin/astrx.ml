@@ -923,9 +923,14 @@ let corpus_cmd =
   in
   let run socket token_file shape json =
     with_auth token_file (fun auth ->
-        match Serve.Client.corpus_lookup ~socket ?auth shape with
+        match Serve.Client.lookup ~socket ?auth Serve.Proto.Winners shape with
         | Error e -> client_fail e
-        | Ok entries ->
+        | Ok records ->
+            let entries =
+              List.filter_map
+                (function Serve.Proto.Entry e -> Some e | Serve.Proto.Verdict _ -> None)
+                records
+            in
             if json then
               print_endline
                 (Json.to_string (Json.Arr (List.map Serve.Corpus.entry_to_json entries)))
@@ -1015,11 +1020,18 @@ let stats_cmd =
             | Some (Json.Arr ps) -> string_of_int (List.length ps)
             | _ -> "-"
           in
-          Printf.printf
-            "fleet: %s peer(s); cache %s remote hit / %s lookup RPCs, %s push (%s failed); \
-             %s scatter(s), %s remote shard(s), %s steal(s)\n"
-            peers (n f "remote_hits") (n f "remote_lookups") (n f "pushes")
-            (n f "push_failures") (n f "scatters") (n f "remote_shards") (n f "steals")
+          Printf.printf "fleet: %s peer(s); %s scatter(s), %s remote shard(s), %s steal(s)\n"
+            peers (n f "scatters") (n f "remote_shards") (n f "steals");
+          List.iter
+            (fun s ->
+              let store = Serve.Proto.store_name s in
+              let c = match Json.mem_opt store f with Some o -> o | None -> Json.Obj [] in
+              Printf.printf
+                "  %s: %s/%s lookups answered, %s pushed (%s failed); served %s lookups, \
+                 %s pushes\n"
+                store (n c "hits") (n c "lookups") (n c "pushes") (n c "push_failures")
+                (n c "served_lookups") (n c "inbound_pushes"))
+            [ Serve.Proto.Verdicts; Serve.Proto.Winners ]
       | Some _ | None -> ());
       (match (Json.mem_opt "eval_mode" j, Json.mem_opt "evals" j) with
       | Some (Json.Str mode), Some (Json.Obj _ as ev) ->

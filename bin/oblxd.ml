@@ -89,7 +89,8 @@ let state_dir_arg =
     & opt (some string) (Some "oblxd-state")
     & info [ "state-dir" ] ~docv:"DIR"
         ~doc:
-          "Directory receiving one job-<id>.json per finished job; --no-state disables")
+          "Directory holding the job log (jobs.log) and the winner corpus (corpus.log), \
+           both replayed at boot; --no-state disables")
 
 let no_state_arg =
   Arg.(value & flag & info [ "no-state" ] ~doc:"Keep no on-disk job records")
@@ -200,7 +201,7 @@ let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers 
           2
       | Ok auth_token ->
           (* Always fleet-aware: even a leaf daemon with no peers serves
-             cache_lookup/cache_push, so any box can join a fleet later. *)
+             lookup/push, so any box can join a fleet later. *)
           let fleet =
             Serve.Fleet.create
               {

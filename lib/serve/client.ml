@@ -151,47 +151,27 @@ let shutdown ~socket ?timeout_s ?auth () =
 let ping ~socket ?timeout_s ?auth () =
   Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth Proto.Ping)
 
-let cache_lookup ~socket ?timeout_s ?auth hash =
-  match checked ~socket ?timeout_s ?auth (Proto.Cache_lookup hash) with
+let lookup ~socket ?timeout_s ?auth store key =
+  match checked ~socket ?timeout_s ?auth (Proto.Lookup (store, key)) with
   | Error e -> Error e
   | Ok resp -> begin
-      match Json.mem_opt "known" resp with
-      | Some (Json.Bool false) -> Ok None
-      | Some (Json.Bool true) -> begin
-          match Json.mem_opt "compile_error" resp with
-          | Some (Json.Str e) -> Ok (Some (Error e))
-          | Some Json.Null | None -> Ok (Some (Ok ()))
-          | Some _ -> Error "cache_lookup response carries a malformed compile_error"
-        end
-      | Some _ | None -> Error "cache_lookup response carries no known field"
+      match Json.mem_opt "records" resp with
+      | Some (Json.Arr rs) ->
+          List.fold_right
+            (fun r acc ->
+              match (Proto.record_of_json store r, acc) with
+              | Ok r, Ok rs -> Ok (r :: rs)
+              | Error m, _ -> Error ("lookup: " ^ m)
+              | Ok _, (Error _ as e) -> e)
+            rs (Ok [])
+      | Some _ | None -> Error "lookup response carries no records"
     end
 
-let cache_push ~socket ?timeout_s ?auth c =
-  Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth (Proto.Cache_push c))
+let push ~socket ?timeout_s ?auth r =
+  Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth (Proto.Push r))
 
 let resynthesize ~socket ?timeout_s ?auth r =
   Result.bind (checked ~socket ?timeout_s ?auth (Proto.Resynthesize r)) id_of
-
-let corpus_lookup ~socket ?timeout_s ?auth shape =
-  match checked ~socket ?timeout_s ?auth (Proto.Corpus_lookup shape) with
-  | Error e -> Error e
-  | Ok resp -> begin
-      match Json.mem_opt "entries" resp with
-      | Some (Json.Arr es) ->
-          let rec decode acc = function
-            | [] -> Ok (List.rev acc)
-            | e :: rest -> begin
-                match Corpus.entry_of_json e with
-                | Ok entry -> decode (entry :: acc) rest
-                | Error m -> Error (Printf.sprintf "corpus_lookup: %s" m)
-              end
-          in
-          decode [] es
-      | Some _ | None -> Error "corpus_lookup response carries no entries"
-    end
-
-let corpus_push ~socket ?timeout_s ?auth entry =
-  Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth (Proto.Corpus_push entry))
 
 let wait ~socket ?(poll_s = 0.05) ?(timeout_s = 600.0) ?auth id =
   let t0 = Unix.gettimeofday () in

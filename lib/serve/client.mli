@@ -61,40 +61,27 @@ val shutdown :
 (** [ping ~socket ()] — liveness probe; [Ok ()] when the daemon answered. *)
 val ping : socket:string -> ?timeout_s:float -> ?auth:string -> unit -> (unit, string) result
 
-(** [cache_lookup ~socket hash] asks a peer for its compile verdict on a
-    canon hash: [Ok None] unknown, [Ok (Some (Ok ()))] compiled fine
-    there, [Ok (Some (Error msg))] failed there with [msg]. *)
-val cache_lookup :
+(** [lookup ~socket store key] — what the daemon's own [store] holds for
+    [key]: [[]] unknown, otherwise its records (one verdict, or the corpus
+    entries for a shape, best cost first). *)
+val lookup :
   socket:string ->
   ?timeout_s:float ->
   ?auth:string ->
+  Proto.store ->
   string ->
-  ((unit, string) result option, string) result
+  (Proto.record list, string) result
 
-(** [cache_push ~socket c] replicates a compile verdict to a peer
-    (best-effort at the call sites: a dead peer is skipped, not fatal). *)
-val cache_push :
-  socket:string -> ?timeout_s:float -> ?auth:string -> Proto.cache_push -> (unit, string) result
+(** [push ~socket r] replicates one record to a peer (best-effort at the
+    call sites: a dead peer is skipped, not fatal). *)
+val push :
+  socket:string -> ?timeout_s:float -> ?auth:string -> Proto.record -> (unit, string) result
 
 (** [resynthesize ~socket r] — the warm fast path: rerun finished job
     [r.rz_id] with tweaked spec targets, seeded from its recorded winner,
     on a reduced schedule. Returns the new job's id. *)
 val resynthesize :
   socket:string -> ?timeout_s:float -> ?auth:string -> Proto.resynth -> (int, string) result
-
-(** [corpus_lookup ~socket shape] — a peer's winner-corpus entries for a
-    shape hash, best cost first (possibly []). *)
-val corpus_lookup :
-  socket:string ->
-  ?timeout_s:float ->
-  ?auth:string ->
-  string ->
-  (Corpus.entry list, string) result
-
-(** [corpus_push ~socket entry] replicates a recorded winner to a peer
-    (best-effort at the call sites, like {!cache_push}). *)
-val corpus_push :
-  socket:string -> ?timeout_s:float -> ?auth:string -> Corpus.entry -> (unit, string) result
 
 (** [wait ~socket ?poll_s ?timeout_s id] polls [status] until the job
     leaves [queued]/[running] (default poll 50 ms, timeout 600 s), then

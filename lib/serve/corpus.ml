@@ -4,10 +4,10 @@ module Json = Obs.Json
    problem's shape hash ({!Netlist.Canon.problem_shape_hash} — the canon
    rendering with spec target values dropped), so "same circuit, tweaked
    specs" finds its predecessors. Bounded in memory, journal-backed on
-   disk (state_dir/corpus.log, JSONL, replayed on restart, compacted via
-   tmp+rename like the job journal), replicated peer-to-peer like compile
-   verdicts. Entries are plain data — values, grid indices, Hustin
-   probabilities — and cross the wire as JSON. *)
+   disk (state_dir/corpus.log, a {!Store} journal like the job log),
+   replicated peer-to-peer like compile verdicts. Entries are plain data
+   — values, grid indices, Hustin probabilities — and cross the wire as
+   JSON. *)
 
 type entry = {
   en_shape : string;
@@ -84,9 +84,7 @@ type t = {
   per_shape : int;
   capacity : int;  (** total entries across all shapes *)
   mutable total : int;
-  mutable log : out_channel option;
-  log_path : string option;
-  mutable logged_lines : int;  (** appended since the last compaction *)
+  mutable store : Store.t option;  (** [state_dir/corpus.log] *)
   mutable adds : int;
   mutable evictions : int;
   mutable hits : int;  (** lookups that returned at least one entry *)
@@ -164,62 +162,29 @@ let insert_locked t (e : entry) =
     end
   end
 
-let append_locked t (e : entry) =
-  match t.log with
-  | None -> ()
-  | Some oc -> (
-      try
-        output_string oc (Json.to_string (entry_to_json e));
-        output_char oc '\n';
-        flush oc;
-        t.logged_lines <- t.logged_lines + 1
-      with Sys_error _ -> () (* best-effort, like the job journal *))
+let to_list_locked t =
+  Hashtbl.fold (fun shape es acc -> (shape, es) :: acc) t.table []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.concat_map snd
 
-let to_list t =
-  locked t (fun () ->
-      Hashtbl.fold (fun shape es acc -> (shape, es) :: acc) t.table []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.concat_map snd)
+let to_list t = locked t (fun () -> to_list_locked t)
 
-(* Rewrite the journal as exactly the live entries, atomically. A kill -9
-   at any point leaves either the old complete log or the new one. Caller
+(* The journal accumulates superseded entries (evicted or deduplicated);
+   rewrite it as exactly the live set once it clearly outgrows it. Caller
    holds the lock. *)
-let compact_locked t =
-  match (t.log_path, t.log) with
-  | Some path, Some oc -> begin
-      let tmp = path ^ ".tmp" in
-      match open_out tmp with
-      | exception Sys_error _ -> ()
-      | tmp_oc -> (
-          try
-            Hashtbl.fold (fun shape es acc -> (shape, es) :: acc) t.table []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-            |> List.iter (fun (_, es) ->
-                   List.iter
-                     (fun e ->
-                       output_string tmp_oc (Json.to_string (entry_to_json e));
-                       output_char tmp_oc '\n')
-                     es);
-            close_out tmp_oc;
-            Sys.rename tmp path;
-            (try close_out oc with Sys_error _ -> ());
-            t.log <-
-              (try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-               with Sys_error _ -> None);
-            t.logged_lines <- t.total
-          with Sys_error _ -> ( try close_out tmp_oc with Sys_error _ -> ()))
-    end
-  | _ -> ()
+let maybe_compact_locked t =
+  match t.store with
+  | Some s when Store.lines s > (4 * t.total) + 64 ->
+      Store.compact s (List.map entry_to_json (to_list_locked t))
+  | Some _ | None -> ()
 
 let add t (e : entry) =
   locked t (fun () ->
       let inserted = insert_locked t e in
       if inserted then begin
         t.adds <- t.adds + 1;
-        append_locked t e;
-        (* The journal accumulates superseded entries (evicted or
-           deduplicated); compact once it clearly outgrows the live set. *)
-        if t.logged_lines > (4 * t.total) + 64 then compact_locked t
+        Option.iter (fun s -> Store.append s (entry_to_json e)) t.store;
+        maybe_compact_locked t
       end;
       inserted)
 
@@ -240,9 +205,7 @@ let create ?(capacity = 256) ?(per_shape = 4) ?path () =
       per_shape;
       capacity;
       total = 0;
-      log = None;
-      log_path = path;
-      logged_lines = 0;
+      store = None;
       adds = 0;
       evictions = 0;
       hits = 0;
@@ -250,47 +213,21 @@ let create ?(capacity = 256) ?(per_shape = 4) ?path () =
       replayed = 0;
     }
   in
-  match path with
-  | None -> t
-  | Some p ->
-      (* Replay the journal (later lines supersede nothing — [add]'s
-         insert rule is order-independent up to ties, and duplicates are
-         no-ops), then open it for appending. A torn final line from a
-         crash mid-append parses as an error and is skipped. *)
-      let replayed = ref 0 in
-      (match open_in p with
-      | exception Sys_error _ -> ()
-      | ic ->
-          (try
-             while true do
-               let line = input_line ic in
-               match Json.of_string line with
-               | Error _ -> ()
-               | Ok j -> begin
-                   match entry_of_json j with
-                   | Error _ -> ()
-                   | Ok e ->
-                       incr replayed;
-                       ignore (insert_locked t e)
-                 end
-             done
-           with End_of_file -> ());
-          close_in ic);
-      t.log <-
-        (try Some (open_out_gen [ Open_append; Open_creat ] 0o644 p) with Sys_error _ -> None);
-      t.logged_lines <- !replayed;
-      t.replayed <- !replayed;
-      (* Startup compaction keeps a crash-looped daemon's journal bounded. *)
-      locked t (fun () -> if t.logged_lines > (4 * t.total) + 64 then compact_locked t);
-      t
+  (* Replay order does not matter — [insert_locked]'s rule is
+     order-independent up to ties, and duplicates are no-ops. Startup
+     compaction keeps a crash-looped daemon's journal bounded. *)
+  let replay j =
+    match entry_of_json j with
+    | Ok e ->
+        t.replayed <- t.replayed + 1;
+        ignore (insert_locked t e)
+    | Error _ -> ()
+  in
+  t.store <- Option.map (fun p -> Store.open_ p ~replay) path;
+  locked t (fun () -> maybe_compact_locked t);
+  t
 
-let close t =
-  locked t (fun () ->
-      match t.log with
-      | Some oc ->
-          t.log <- None;
-          (try close_out oc with Sys_error _ -> ())
-      | None -> ())
+let close t = Option.iter Store.close t.store
 
 type stats = {
   entries : int;

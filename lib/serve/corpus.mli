@@ -6,10 +6,10 @@
     pool can seed a fraction of its annealing restarts from prior winners.
 
     Bounded in memory (a few best-cost entries per shape, a total entry
-    cap), journal-backed on disk ([state_dir/corpus.log], JSONL, one entry
-    per line, replayed on restart and compacted via tmp+rename so a
-    kill -9 never tears it), and replicated peer-to-peer by the fleet in
-    the style of compile verdicts ([corpus_push]). Entries are plain data
+    cap), journal-backed on disk ([state_dir/corpus.log], a {!Store}
+    journal, one entry per line), and replicated peer-to-peer by the
+    fleet in the style of compile verdicts ([push] to the ["corpus"]
+    store). Entries are plain data
     and cross the wire as the same JSON object the journal stores.
 
     Note the corpus is an {e optimization input}, not part of a job's

@@ -9,11 +9,22 @@ type config = {
   auth : string option;
   steal_timeout_s : float;
   rpc_timeout_s : float;
-  directory_capacity : int;
 }
 
-let default_config =
-  { peers = []; auth = None; steal_timeout_s = 60.0; rpc_timeout_s = 5.0; directory_capacity = 1024 }
+let default_config = { peers = []; auth = None; steal_timeout_s = 60.0; rpc_timeout_s = 5.0 }
+
+(* Replication traffic of one store. *)
+type counters = {
+  mutable lookups : int;  (** outbound lookup RPCs *)
+  mutable hits : int;  (** outbound lookups a peer answered *)
+  mutable pushes : int;  (** records a peer accepted *)
+  mutable push_failures : int;
+  mutable inbound_pushes : int;  (** push verbs served *)
+  mutable served_lookups : int;  (** lookup verbs served *)
+}
+
+let zero () =
+  { lookups = 0; hits = 0; pushes = 0; push_failures = 0; inbound_pushes = 0; served_lookups = 0 }
 
 type t = {
   mutex : Mutex.t;
@@ -21,54 +32,26 @@ type t = {
   auth : string option;
   steal_timeout_s : float;
   rpc_timeout_s : float;
-  (* The replica directory: canon hash -> compile verdict learned from the
-     fleet ([None] = compiled fine somewhere, [Some msg] = failed there).
-     Compiled problems hold closures and never cross the wire, so this is
-     metadata only — a known-good hash still compiles locally (once), a
-     known-bad hash fails fast without compiling at all. FIFO-bounded. *)
-  directory : (string, string option) Hashtbl.t;
-  dir_order : string Queue.t;
-  directory_capacity : int;
-  mutable remote_hits : int;  (** local misses answered by directory or a peer *)
-  mutable remote_lookups : int;  (** outbound cache_lookup RPCs *)
-  mutable pushes : int;
-  mutable push_failures : int;
-  mutable inbound_pushes : int;  (** cache_push verbs served *)
-  mutable served_lookups : int;  (** cache_lookup verbs served *)
+  verdicts : counters;
+  winners : counters;
   mutable scatters : int;
   mutable remote_shards : int;  (** shards a peer completed for us *)
   mutable steals : int;  (** shards re-run locally after a peer failed *)
-  mutable corpus_pushes : int;  (** winner entries accepted by peers *)
-  mutable corpus_push_failures : int;
-  mutable corpus_inbound : int;  (** corpus_push verbs served *)
-  mutable corpus_served_lookups : int;  (** corpus_lookup verbs served *)
 }
 
 let create (cfg : config) =
   if cfg.steal_timeout_s <= 0.0 then invalid_arg "Fleet.create: steal_timeout_s must be > 0";
-  if cfg.directory_capacity < 1 then invalid_arg "Fleet.create: directory_capacity must be >= 1";
   {
     mutex = Mutex.create ();
     peers = cfg.peers;
     auth = cfg.auth;
     steal_timeout_s = cfg.steal_timeout_s;
     rpc_timeout_s = cfg.rpc_timeout_s;
-    directory = Hashtbl.create 64;
-    dir_order = Queue.create ();
-    directory_capacity = cfg.directory_capacity;
-    remote_hits = 0;
-    remote_lookups = 0;
-    pushes = 0;
-    push_failures = 0;
-    inbound_pushes = 0;
-    served_lookups = 0;
+    verdicts = zero ();
+    winners = zero ();
     scatters = 0;
     remote_shards = 0;
     steals = 0;
-    corpus_pushes = 0;
-    corpus_push_failures = 0;
-    corpus_inbound = 0;
-    corpus_served_lookups = 0;
   }
 
 let locked t f =
@@ -80,89 +63,42 @@ let set_peers t peers = locked t (fun () -> t.peers <- peers)
 let auth t = t.auth
 
 (* ------------------------------------------------------------------ *)
-(* Replicated compile-cache directory                                  *)
+(* Replication: one lookup/push fan-out for both stores                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Caller holds the lock. *)
-let note_locked t ~hash ~error =
-  if Hashtbl.mem t.directory hash then Hashtbl.replace t.directory hash error
-  else begin
-    if Queue.length t.dir_order >= t.directory_capacity then begin
-      let victim = Queue.pop t.dir_order in
-      Hashtbl.remove t.directory victim
-    end;
-    Queue.push hash t.dir_order;
-    Hashtbl.add t.directory hash error
-  end
+let counters_of t = function Proto.Verdicts -> t.verdicts | Proto.Winners -> t.winners
+let count t store f = locked t (fun () -> f (counters_of t store))
 
-let record_push t ~hash ~error =
-  locked t (fun () ->
-      t.inbound_pushes <- t.inbound_pushes + 1;
-      note_locked t ~hash ~error)
-
-let record_served_lookup t = locked t (fun () -> t.served_lookups <- t.served_lookups + 1)
-
-let verdict_of = function None -> Ok () | Some e -> Error e
-
-(* On a local cache miss: the directory first (free), then each peer in
-   order (one bounded RPC each). A learned verdict lands in the directory
-   so the next miss on this hash asks no one. *)
-let lookup_remote t ~hash =
-  let dir = locked t (fun () -> Hashtbl.find_opt t.directory hash) in
-  match dir with
-  | Some verdict ->
-      locked t (fun () -> t.remote_hits <- t.remote_hits + 1);
-      Some (verdict_of verdict)
-  | None -> begin
-      let rec ask = function
-        | [] -> None
-        | peer :: rest -> begin
-            locked t (fun () -> t.remote_lookups <- t.remote_lookups + 1);
-            match
-              Client.cache_lookup ~socket:peer ?auth:t.auth ~timeout_s:t.rpc_timeout_s hash
-            with
-            | Ok (Some verdict) ->
-                locked t (fun () ->
-                    t.remote_hits <- t.remote_hits + 1;
-                    note_locked t ~hash
-                      ~error:(match verdict with Ok () -> None | Error e -> Some e));
-                Some verdict
-            | Ok None | Error _ -> ask rest
-          end
-      in
-      ask (peers t)
-    end
-
-let record_corpus_inbound t = locked t (fun () -> t.corpus_inbound <- t.corpus_inbound + 1)
-
-let record_served_corpus_lookup t =
-  locked t (fun () -> t.corpus_served_lookups <- t.corpus_served_lookups + 1)
-
-(* Winner replication, same best-effort contract as verdict [push]: a dead
-   peer costs one timed-out RPC and a counter. Only entries that carried
-   new information locally are pushed (the pool checks), and receivers do
-   not re-propagate — each daemon tells every peer directly, so that is
-   enough for a full mesh without echo. *)
-let corpus_push t ~entry =
-  List.iter
-    (fun peer ->
-      match Client.corpus_push ~socket:peer ?auth:t.auth ~timeout_s:t.rpc_timeout_s entry with
-      | Ok () -> locked t (fun () -> t.corpus_pushes <- t.corpus_pushes + 1)
-      | Error _ -> locked t (fun () -> t.corpus_push_failures <- t.corpus_push_failures + 1))
-    (peers t)
+(* Each peer in order, one bounded RPC each, until one knows the key. A
+   peer answers only from its own store, so lookups never recurse. *)
+let lookup t store ~key =
+  let rec ask = function
+    | [] -> []
+    | peer :: rest -> begin
+        count t store (fun c -> c.lookups <- c.lookups + 1);
+        match Client.lookup ~socket:peer ?auth:t.auth ~timeout_s:t.rpc_timeout_s store key with
+        | Ok (_ :: _ as records) ->
+            count t store (fun c -> c.hits <- c.hits + 1);
+            records
+        | Ok [] | Error _ -> ask rest
+      end
+  in
+  ask (peers t)
 
 (* Best-effort: a dead peer costs one timed-out RPC and a counter, never a
-   failed job. *)
-let push t ~hash ~error =
+   failed job. Receivers do not pass pushes on — each daemon tells every
+   peer directly, which is enough for a full mesh without echo. *)
+let push t record =
+  let store = Proto.store_of_record record in
   List.iter
     (fun peer ->
-      match
-        Client.cache_push ~socket:peer ?auth:t.auth ~timeout_s:t.rpc_timeout_s
-          { Proto.cp_hash = hash; cp_error = error }
-      with
-      | Ok () -> locked t (fun () -> t.pushes <- t.pushes + 1)
-      | Error _ -> locked t (fun () -> t.push_failures <- t.push_failures + 1))
+      match Client.push ~socket:peer ?auth:t.auth ~timeout_s:t.rpc_timeout_s record with
+      | Ok () -> count t store (fun c -> c.pushes <- c.pushes + 1)
+      | Error _ -> count t store (fun c -> c.push_failures <- c.push_failures + 1))
     (peers t)
+
+let record_served_lookup t store = count t store (fun c -> c.served_lookups <- c.served_lookups + 1)
+let record_inbound_push t store = count t store (fun c -> c.inbound_pushes <- c.inbound_pushes + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Scatter / steal / merge                                             *)
@@ -173,18 +109,7 @@ type shard_result = {
   sr_hi : int;
   sr_peer : string option;
   sr_stolen : bool;
-  sr_best_cost : float;
-  sr_winner_restart : int;
-  sr_winner_score : float;
-  sr_predicted : (string * float option) list;
-  sr_sizes : (string * float) list;
-  sr_moves : int;
-  sr_evals : int;
-  sr_cut_reason : string option;
-  sr_warm : string option;  (** winning restart's seed provenance label *)
-  sr_winner : (float array * int array * float array) option;
-      (** winner's (values, grid indices, Hustin probs) — what the
-          coordinator records in its corpus when this shard wins *)
+  sr_outcome : Proto.outcome;  (** always carries winner_restart/score *)
 }
 
 (* Contiguous ascending shards covering [0, runs); the first [runs mod
@@ -201,67 +126,20 @@ let split_shards ~runs ~parts =
   in
   go 0 0 []
 
-let jnum j k = match Json.mem_opt k j with Some (Json.Num v) -> Some v | _ -> None
-let jint j k = Option.map int_of_float (jnum j k)
-let jstr j k = match Json.mem_opt k j with Some (Json.Str s) -> Some s | _ -> None
-
 (* A peer's finished shard job back into a shard result. The floats made
    the round trip through %.17g JSON, so best_cost and winner_score are
    the exact bits the peer computed — the merge below stays bit-identical
    to a local fold. Anything other than a clean "done" record is a steal
    trigger, not a partial answer. *)
 let shard_result_of_job ~lo ~hi ~peer job =
-  match jstr job "state" with
-  | Some "done" -> begin
-      match (jnum job "best_cost", jint job "winner_restart", jnum job "winner_score") with
-      | Some best_cost, Some winner_restart, Some winner_score ->
-          let pairs k f =
-            match Json.mem_opt k job with
-            | Some (Json.Obj kvs) -> List.filter_map f kvs
-            | _ -> []
-          in
-          Ok
-            {
-              sr_lo = lo;
-              sr_hi = hi;
-              sr_peer = Some peer;
-              sr_stolen = false;
-              sr_best_cost = best_cost;
-              sr_winner_restart = winner_restart;
-              sr_winner_score = winner_score;
-              sr_predicted =
-                pairs "predicted" (fun (k, v) ->
-                    match v with
-                    | Json.Num v -> Some (k, Some v)
-                    | Json.Null -> Some (k, None)
-                    | _ -> None);
-              sr_sizes =
-                pairs "sizes" (fun (k, v) ->
-                    match v with Json.Num v -> Some (k, v) | _ -> None);
-              sr_moves = Option.value (jint job "moves") ~default:0;
-              sr_evals = Option.value (jint job "evals") ~default:0;
-              sr_cut_reason = jstr job "cut_reason";
-              sr_warm = jstr job "warm";
-              sr_winner =
-                (let arr k =
-                   match Json.mem_opt k job with
-                   | Some (Json.Arr vs) ->
-                       Some
-                         (Array.of_list
-                            (List.filter_map
-                               (function Json.Num v -> Some v | _ -> None)
-                               vs))
-                   | _ -> None
-                 in
-                 match (arr "winner_values", arr "winner_grid", arr "winner_probs") with
-                 | Some values, Some grid, Some probs when values <> [||] ->
-                     Some (values, Array.map int_of_float grid, probs)
-                 | _ -> None);
-            }
-      | _ -> Error (Printf.sprintf "peer %s: shard record lacks winner fields" peer)
-    end
-  | Some state -> Error (Printf.sprintf "peer %s: shard finished %s" peer state)
-  | None -> Error (Printf.sprintf "peer %s: shard record lacks state" peer)
+  match (Json.mem_opt "state" job, Proto.outcome_of_json job) with
+  | ( Some (Json.Str "done"),
+      Some ({ Proto.jo_winner_restart = Some _; jo_winner_score = Some _; _ } as o) ) ->
+      Ok { sr_lo = lo; sr_hi = hi; sr_peer = Some peer; sr_stolen = false; sr_outcome = o }
+  | Some (Json.Str "done"), _ ->
+      Error (Printf.sprintf "peer %s: shard record lacks winner fields" peer)
+  | Some (Json.Str state), _ -> Error (Printf.sprintf "peer %s: shard finished %s" peer state)
+  | _ -> Error (Printf.sprintf "peer %s: shard record lacks state" peer)
 
 let run_remote t ~submit ~peer ~lo ~hi =
   let sub =
@@ -345,13 +223,11 @@ let scatter t ~(submit : Proto.submit) ~run_local =
    earliest shard on ties, and within a shard the daemon that ran it
    already kept the earliest restart. *)
 let merge shards =
+  let score sr = Option.value sr.sr_outcome.Proto.jo_winner_score ~default:Float.infinity in
   match shards with
   | [] -> None
   | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best sr -> if sr.sr_winner_score < best.sr_winner_score then sr else best)
-           first rest)
+      Some (List.fold_left (fun best sr -> if score sr < score best then sr else best) first rest)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -359,25 +235,27 @@ let merge shards =
 
 let num_i i = Json.Num (float_of_int i)
 
+let counters_json c =
+  Json.Obj
+    [
+      ("lookups", num_i c.lookups);
+      ("hits", num_i c.hits);
+      ("pushes", num_i c.pushes);
+      ("push_failures", num_i c.push_failures);
+      ("inbound_pushes", num_i c.inbound_pushes);
+      ("served_lookups", num_i c.served_lookups);
+    ]
+
 let stats_json t =
   locked t (fun () ->
       Json.Obj
         [
           ("peers", Json.Arr (List.map (fun p -> Json.Str p) t.peers));
-          ("remote_hits", num_i t.remote_hits);
-          ("remote_lookups", num_i t.remote_lookups);
-          ("pushes", num_i t.pushes);
-          ("push_failures", num_i t.push_failures);
-          ("inbound_pushes", num_i t.inbound_pushes);
-          ("served_lookups", num_i t.served_lookups);
-          ("directory_entries", num_i (Hashtbl.length t.directory));
           ("scatters", num_i t.scatters);
           ("remote_shards", num_i t.remote_shards);
           ("steals", num_i t.steals);
-          ("corpus_pushes", num_i t.corpus_pushes);
-          ("corpus_push_failures", num_i t.corpus_push_failures);
-          ("corpus_inbound", num_i t.corpus_inbound);
-          ("corpus_served_lookups", num_i t.corpus_served_lookups);
+          (Proto.store_name Proto.Verdicts, counters_json t.verdicts);
+          (Proto.store_name Proto.Winners, counters_json t.winners);
         ])
 
-let remote_hits t = locked t (fun () -> t.remote_hits)
+let remote_hits t = locked t (fun () -> t.verdicts.hits)

@@ -19,14 +19,15 @@
        order with strict [<] on the recorded {!Core.Oblx.score} — the
        exact winner rule [best_of] applies internally — so the fleet's
        answer is byte-for-byte the single-box answer.}
-    {- {b Compile-cache replication.} Compiled problems hold closures and
-       cannot cross the wire, so the fleet replicates compile {e
-       verdicts}: on a local cache miss a daemon consults its directory
-       of learned verdicts, then asks peers ([cache_lookup]); after
-       compiling something new it pushes the verdict to peers
-       best-effort ([cache_push]). A known-bad hash fails fast without
-       recompiling; a known-good hash still compiles locally (once) but
-       is counted as a remote hit.}
+    {- {b Replication.} Two stores travel between peers over one verb
+       pair, [lookup]/[push] ({!Proto.store}). Compiled problems hold
+       closures and cannot cross the wire, so the fleet replicates compile
+       {e verdicts}: on a local cache miss a daemon asks its peers, and
+       after compiling something new it pushes the verdict to them. A
+       known-bad verdict lands in the receiver's {!Core.Compile_cache}, so
+       that source fails fast there without recompiling; a known-good one
+       still compiles locally, and a peer's answer counts as a remote hit.
+       Finished jobs' winners travel the same way into peers' corpora.}
     {- {b Counters} for all of it in [stats_json], surfaced under
        ["fleet"] by the daemon's [stats] verb.}} *)
 
@@ -39,11 +40,9 @@ type config = {
       (** per-shard deadline: a peer that hasn't finished its shard by
           then is treated as dead and the shard is stolen *)
   rpc_timeout_s : float;  (** submit/lookup/push socket timeout *)
-  directory_capacity : int;  (** replica-directory bound (FIFO eviction) *)
 }
 
-(** No peers, no auth, 60 s steal deadline, 5 s RPCs, 1024 directory
-    entries. *)
+(** No peers, no auth, 60 s steal deadline, 5 s RPCs. *)
 val default_config : config
 
 val create : config -> t
@@ -56,43 +55,25 @@ val peers : t -> string list
 val set_peers : t -> string list -> unit
 val auth : t -> string option
 
-(** {2 Replicated compile-cache directory} *)
+(** {2 Replication}
 
-(** [lookup_remote t ~hash] — called on a local compile-cache miss:
-    [Some (Ok ())] the fleet compiled this fine, [Some (Error msg)] the
-    fleet knows it fails, [None] nobody knows. Directory first, then one
-    RPC per peer until an answer; learned verdicts are remembered. *)
-val lookup_remote : t -> hash:string -> (unit, string) result option
+    Best-effort on both sides: a dead peer costs one timed-out RPC and a
+    counter. A daemon answers lookups only from its own store, and a
+    receiver of a push does not pass it on — each daemon pushes its own
+    records to every peer directly, which is loop-free on a full mesh. *)
 
-(** [push t ~hash ~error] — replicate a fresh local compile verdict to
-    every peer, best-effort ([error = None] means it compiled). *)
-val push : t -> hash:string -> error:string option -> unit
+(** [lookup t store ~key] asks each peer in turn; the first non-empty
+    answer wins ([[]]: nobody knows). *)
+val lookup : t -> Proto.store -> key:string -> Proto.record list
 
-(** [record_push t ~hash ~error] — an inbound [cache_push] verb: note the
-    verdict in the directory. *)
-val record_push : t -> hash:string -> error:string option -> unit
+(** [push t r] sends [r] to every peer. *)
+val push : t -> Proto.record -> unit
 
-(** Count an inbound [cache_lookup] verb (the answer comes from the local
-    {!Core.Compile_cache}, not from here). *)
-val record_served_lookup : t -> unit
+(** Count an inbound [lookup] verb (answered from the pool's own store). *)
+val record_served_lookup : t -> Proto.store -> unit
 
-(** {2 Winner-corpus replication}
-
-    Same shape as verdict replication: finished winners travel to peers
-    as [corpus_push] verbs, best-effort, and only when they carried new
-    information locally — receivers absorb without re-propagating, which
-    is loop-free on a full mesh. *)
-
-(** [corpus_push t ~entry] — replicate a freshly recorded winner to every
-    peer, best-effort. *)
-val corpus_push : t -> entry:Corpus.entry -> unit
-
-(** Count an inbound [corpus_push] verb (the entry lands in the pool's
-    {!Corpus}, not here). *)
-val record_corpus_inbound : t -> unit
-
-(** Count an inbound [corpus_lookup] verb. *)
-val record_served_corpus_lookup : t -> unit
+(** Count an inbound [push] verb (absorbed by the pool's own store). *)
+val record_inbound_push : t -> Proto.store -> unit
 
 (** {2 Scatter / steal / merge} *)
 
@@ -101,19 +82,10 @@ type shard_result = {
   sr_hi : int;  (** restart range [\[lo, hi)] this shard executed *)
   sr_peer : string option;  (** [None]: ran on this daemon *)
   sr_stolen : bool;  (** re-run locally after the peer failed *)
-  sr_best_cost : float;
-  sr_winner_restart : int;  (** global restart index of the shard winner *)
-  sr_winner_score : float;  (** {!Core.Oblx.score} of the shard winner *)
-  sr_predicted : (string * float option) list;
-  sr_sizes : (string * float) list;
-  sr_moves : int;
-  sr_evals : int;
-  sr_cut_reason : string option;
-  sr_warm : string option;
-      (** the shard winner's seed provenance ({!Core.Oblx.result.warm}) *)
-  sr_winner : (float array * int array * float array) option;
-      (** shard winner's (values, grid indices, Hustin probs); [None] on
-          older peers whose job records lack the winner arrays *)
+  sr_outcome : Proto.outcome;
+      (** the shard's winner and totals; [jo_winner_restart] is the global
+          restart index and [jo_winner_score] its {!Core.Oblx.score},
+          always present *)
 }
 
 (** [split_shards ~runs ~parts] — contiguous ascending ranges covering
@@ -135,14 +107,17 @@ val scatter :
   (shard_result list, string) result
 
 (** [merge shards] — the fleet winner: fold in list order with strict [<]
-    on [sr_winner_score], keeping the earliest shard on ties. Applied to
+    on the winner score, keeping the earliest shard on ties. Applied to
     {!scatter}'s output this reproduces {!Core.Oblx.best_of}'s winner
     bit-for-bit. *)
 val merge : shard_result list -> shard_result option
 
 (** {2 Stats} *)
 
-(** The ["fleet"] block of the daemon's [stats] response. *)
+(** The ["fleet"] block of the daemon's [stats] response: peers, scatter
+    counters, and per store (["verdicts"], ["corpus"]) [lookups hits
+    pushes push_failures inbound_pushes served_lookups]. *)
 val stats_json : t -> Obs.Json.t
 
+(** Verdict lookups a peer answered — the pool's [cache.remote_hits]. *)
 val remote_hits : t -> int

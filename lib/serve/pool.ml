@@ -42,44 +42,6 @@ let state_name = function
   | Failed -> "failed"
   | Cancelled -> "cancelled"
 
-(* One row of a sweep job's verdict table: what one variant's synthesis
-   produced. [sv_cache] is the compile-cache outcome for this variant's
-   (canon, corner) key — the bench gate over "one compile per distinct
-   key" reads these. *)
-type sweep_row = {
-  sv_name : string;
-  sv_corner : string option;
-  sv_cache : Core.Compile_cache.outcome option;  (** None: failed pre-key *)
-  sv_best_cost : float option;
-  sv_ok : bool option;  (** every spec at/inside its good target *)
-  sv_error : string option;
-  sv_predicted : (string * float option) list;
-  sv_moves : int;
-  sv_evals : int;
-  sv_cut_reason : string option;
-}
-
-(* What a finished synthesis leaves on the job record. *)
-type outcome = {
-  jo_best_cost : float;
-  jo_moves : int;  (** across every restart of the job *)
-  jo_evals : int;
-  jo_cut_reason : string option;
-  jo_predicted : (string * float option) list;
-  jo_sizes : (string * float) list;
-  jo_winner_restart : int option;  (** global restart index of the winner *)
-  jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
-  jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
-  jo_shape : string option;  (** the problem's shape hash, when it parsed *)
-  jo_warm : string option;
-      (** provenance of the winning restart's seed (a corpus label), or
-          [None] when a cold restart won / no warm seeds were attached *)
-  jo_winner : (float array * int array * float array) option;
-      (** winner's (values, grid indices, Hustin probs) — recorded on the
-          job so [resynthesize] can warm-start from it even after the
-          corpus evicted the entry *)
-}
-
 type job = {
   id : int;
   spec : Proto.submit;
@@ -90,7 +52,7 @@ type job = {
   mutable worker : int option;
   mutable cache : Core.Compile_cache.outcome option;
   mutable error : string option;  (** [Failed]: the compile error *)
-  mutable outcome : outcome option;
+  mutable outcome : Proto.outcome option;
   cancel : string option Atomic.t;
       (** cancellation verdict, polled by the annealer's abort hook *)
   ring : Obs.Sink.Ring.ring option;  (** per-job stage events, on request *)
@@ -106,9 +68,7 @@ type t = {
   mutable stopping : bool;
   mutable rejected : int;
   restored : int;  (** jobs replayed from the log at startup *)
-  mutable log : out_channel option;  (** [state_dir/jobs.log], append mode *)
-  log_mutex : Mutex.t;  (** appends are whole lines, never interleaved *)
-  mutable log_bytes : int;  (** bytes in jobs.log, for the rotation check *)
+  journal : Store.t option;  (** [state_dir/jobs.log] *)
   mutable rotations : int;
   cache : Core.Compile_cache.t;
   summary : Obs.Sink.Summary.summary;
@@ -144,32 +104,12 @@ let enqueue queue job =
   insert queue
 
 (* ------------------------------------------------------------------ *)
-(* Finishing and persistence                                           *)
+(* Job records                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let opt_num = function Some v -> Json.Num v | None -> Json.Null
 let num_i i = Json.Num (float_of_int i)
 let opt_str = function Some s -> Json.Str s | None -> Json.Null
-
-let cache_json = function
-  | Some Core.Compile_cache.Hit -> Json.Str "hit"
-  | Some Core.Compile_cache.Miss -> Json.Str "miss"
-  | None -> Json.Null
-
-let sweep_row_json (r : sweep_row) =
-  Json.Obj
-    [
-      ("variant", Json.Str r.sv_name);
-      ("corner", opt_str r.sv_corner);
-      ("cache", cache_json r.sv_cache);
-      ("best_cost", opt_num r.sv_best_cost);
-      ("ok", (match r.sv_ok with Some b -> Json.Bool b | None -> Json.Null));
-      ("error", opt_str r.sv_error);
-      ("predicted", Json.Obj (List.map (fun (k, v) -> (k, opt_num v)) r.sv_predicted));
-      ("moves", num_i r.sv_moves);
-      ("evals", num_i r.sv_evals);
-      ("cut_reason", opt_str r.sv_cut_reason);
-    ]
 
 (* Caller holds the lock. *)
 let job_json ~full t (j : job) =
@@ -210,7 +150,7 @@ let job_json ~full t (j : job) =
       ("queue_position", match queue_pos with Some p -> num_i p | None -> Json.Null);
       ("wait_s", Json.Num wait_s);
       ("run_s", opt_num run_s);
-      ("cache", cache_json j.cache);
+      ("cache", Proto.cache_to_json j.cache);
       ("error", opt_str j.error);
       ("cut_reason", opt_str (match j.outcome with Some o -> o.jo_cut_reason | None -> None));
     ]
@@ -221,37 +161,7 @@ let job_json ~full t (j : job) =
     | None -> []
   in
   let detail =
-    if not full then []
-    else
-      match j.outcome with
-      | None -> []
-      | Some o ->
-          [
-            ("best_cost", Json.Num o.jo_best_cost);
-            ("moves", num_i o.jo_moves);
-            ("evals", num_i o.jo_evals);
-            ( "winner_restart",
-              match o.jo_winner_restart with Some k -> num_i k | None -> Json.Null );
-            ("winner_score", opt_num o.jo_winner_score);
-            ( "predicted",
-              Json.Obj (List.map (fun (k, v) -> (k, opt_num v)) o.jo_predicted) );
-            ("sizes", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) o.jo_sizes));
-          ]
-          @ (match o.jo_shape with Some s -> [ ("shape", Json.Str s) ] | None -> [])
-          @ (match o.jo_warm with Some w -> [ ("warm", Json.Str w) ] | None -> [])
-          @ (match o.jo_winner with
-            | None -> []
-            | Some (values, grid, probs) ->
-                let farr a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Num v)) in
-                [
-                  ("winner_values", farr values);
-                  ("winner_grid", farr (Array.map float_of_int grid));
-                  ("winner_probs", farr probs);
-                ])
-          @
-          match o.jo_sweep with
-          | [] -> []
-          | rows -> [ ("sweep", Json.Arr (List.map sweep_row_json rows)) ]
+    match (full, j.outcome) with true, Some o -> Proto.outcome_fields o | _ -> []
   in
   let events =
     if not full then []
@@ -267,21 +177,6 @@ let job_json ~full t (j : job) =
   in
   Json.Obj (base @ shard @ detail @ events)
 
-(* Persist outside the lock: the record is already rendered. *)
-let persist t (j : job) rendered =
-  match t.cfg.state_dir with
-  | None -> ()
-  | Some dir -> begin
-      match
-        let oc = open_out (Filename.concat dir (Printf.sprintf "job-%d.json" j.id)) in
-        output_string oc (Json.to_string rendered);
-        output_char oc '\n';
-        close_out oc
-      with
-      | () -> ()
-      | exception Sys_error _ -> () (* the state dir is best-effort ops trail *)
-    end
-
 (* ------------------------------------------------------------------ *)
 (* The durable job log                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -293,21 +188,9 @@ let persist t (j : job) rendered =
    the submitted move budget. [create] replays it so a restarted daemon
    still answers status/result for every pre-restart job id. *)
 
-let log_append t wrap =
-  Mutex.lock t.log_mutex;
-  (match t.log with
-  | None -> ()
-  | Some oc -> (
-      try
-        let line = Json.to_string wrap in
-        output_string oc line;
-        output_char oc '\n';
-        flush oc;
-        t.log_bytes <- t.log_bytes + String.length line + 1
-      with Sys_error _ -> () (* best-effort, like the per-job files *)));
-  Mutex.unlock t.log_mutex
+let log_append t wrap = Option.iter (fun s -> Store.append s wrap) t.journal
 
-(* The spec fields ([source]/[moves]/[trace]) that let [replay_log]
+(* The spec fields ([source]/[moves]/[trace]) that let [replay_journal]
    reconstruct a job from this wrap alone. Submit wraps always carry
    them; finish wraps only in a rotated log, where the submit line they
    used to pair with is gone. *)
@@ -357,81 +240,35 @@ let log_finish_wrap ?(spec = false) (j : job) rendered =
 (* When jobs.log grows past [log_rotate_bytes], rewrite it as one
    self-contained terminal record per finished job (a finish wrap carrying
    the spec fields a submit line used to provide) plus the original submit
-   line for every job still queued or running, then atomically rename over
-   the old log. Replay fidelity is exact: the terminal records are the
-   same [job_json ~full:true] renderings the original finish lines held.
-   A kill -9 at any point leaves either the old complete log (plus a
-   harmless jobs.log.tmp) or the new complete one — never a torn journal.
+   line for every job still queued or running. Replay fidelity is exact:
+   the terminal records are the same [job_json ~full:true] renderings the
+   original finish lines held; {!Store.compact} makes the swap atomic.
 
-   Lock order: [t.mutex] (to render every job consistently) then
-   [t.log_mutex] (to swap the channel); [log_append] takes only
-   [log_mutex], and nothing takes [t.mutex] while holding [log_mutex], so
-   this cannot deadlock. A finish racing the rotation can append its
-   record right after the swap — a duplicate terminal line for that id,
-   which replay applies idempotently. *)
-let rotate t =
-  match t.cfg.state_dir with
-  | None -> ()
-  | Some dir ->
-      locked t (fun () ->
-          Mutex.lock t.log_mutex;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.log_mutex)
-            (fun () ->
-              match t.log with
-              | None -> ()
-              | Some oc -> begin
-                  let path = Filename.concat dir "jobs.log" in
-                  let tmp = path ^ ".tmp" in
-                  match open_out tmp with
-                  | exception Sys_error _ -> ()
-                  | tmp_oc -> (
-                      try
-                        let ids =
-                          Hashtbl.fold (fun id _ acc -> id :: acc) t.jobs []
-                          |> List.sort compare
-                        in
-                        List.iter
-                          (fun id ->
-                            let j = Hashtbl.find t.jobs id in
-                            let wrap =
-                              match j.state with
-                              | Done | Failed | Cancelled ->
-                                  log_finish_wrap ~spec:true j (job_json ~full:true t j)
-                              | Queued | Running -> log_submit_wrap t j
-                            in
-                            output_string tmp_oc (Json.to_string wrap);
-                            output_char tmp_oc '\n')
-                          ids;
-                        close_out tmp_oc;
-                        Sys.rename tmp path;
-                        (try close_out oc with Sys_error _ -> ());
-                        t.log <-
-                          (try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-                           with Sys_error _ -> None);
-                        t.log_bytes <-
-                          (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0);
-                        t.rotations <- t.rotations + 1
-                      with Sys_error _ -> (
-                        (* Rotation is best-effort: keep appending to the
-                           old channel, try again past the next append. *)
-                        try close_out tmp_oc with Sys_error _ -> ()))
-                end))
-
+   Lock order: [t.mutex] (to render every job consistently and keep the
+   table still until the swap) then the store's lock; [log_append] takes
+   only the store's. A finish racing the rotation can append its record
+   right after the swap — a duplicate terminal line for that id, which
+   replay applies idempotently. *)
 let maybe_rotate t =
-  let due =
-    match t.cfg.log_rotate_bytes with
-    | None -> false
-    | Some limit ->
-        Mutex.lock t.log_mutex;
-        let b = t.log <> None && t.log_bytes > limit in
-        Mutex.unlock t.log_mutex;
-        b
-  in
-  if due then rotate t
+  match (t.journal, t.cfg.log_rotate_bytes) with
+  | Some store, Some limit when Store.bytes store > limit ->
+      locked t (fun () ->
+          if Store.bytes store > limit then begin
+            Hashtbl.fold (fun id _ acc -> id :: acc) t.jobs []
+            |> List.sort compare
+            |> List.map (fun id ->
+                   let j = Hashtbl.find t.jobs id in
+                   match j.state with
+                   | Done | Failed | Cancelled ->
+                       log_finish_wrap ~spec:true j (job_json ~full:true t j)
+                   | Queued | Running -> log_submit_wrap t j)
+            |> Store.compact store;
+            t.rotations <- t.rotations + 1
+          end)
+  | _ -> ()
 
 let finish t (j : job) ~worker ~state ?error ?outcome () =
-  let rendered, wrap =
+  let wrap =
     locked t (fun () ->
         j.state <- state;
         j.finished_at <- Some (now ());
@@ -445,10 +282,8 @@ let finish t (j : job) ~worker ~state ?error ?outcome () =
             | Some o -> t.worker_moves.(w) <- t.worker_moves.(w) + o.jo_moves
             | None -> ())
         | _ -> ());
-        let rendered = job_json ~full:true t j in
-        (rendered, log_finish_wrap j rendered))
+        log_finish_wrap j (job_json ~full:true t j))
   in
-  persist t j rendered;
   log_append t wrap;
   maybe_rotate t
 
@@ -501,99 +336,6 @@ let spec_of_log wrap jobj =
       | _ -> []);
   }
 
-let sweep_of_log jobj =
-  match Json.mem_opt "sweep" jobj with
-  | Some (Json.Arr rows) ->
-      List.filter_map
-        (fun row ->
-          match jstr row "variant" with
-          | None -> None
-          | Some name ->
-              Some
-                {
-                  sv_name = name;
-                  sv_corner = jstr row "corner";
-                  sv_cache =
-                    (match jstr row "cache" with
-                    | Some "hit" -> Some Core.Compile_cache.Hit
-                    | Some "miss" -> Some Core.Compile_cache.Miss
-                    | Some _ | None -> None);
-                  sv_best_cost = jnum row "best_cost";
-                  sv_ok =
-                    (match Json.mem_opt "ok" row with
-                    | Some (Json.Bool b) -> Some b
-                    | _ -> None);
-                  sv_error = jstr row "error";
-                  sv_predicted =
-                    (match Json.mem_opt "predicted" row with
-                    | Some (Json.Obj kvs) ->
-                        List.filter_map
-                          (fun (k, v) ->
-                            match v with
-                            | Json.Num v -> Some (k, Some v)
-                            | Json.Null -> Some (k, None)
-                            | _ -> None)
-                          kvs
-                    | _ -> []);
-                  sv_moves = Option.value (jint row "moves") ~default:0;
-                  sv_evals = Option.value (jint row "evals") ~default:0;
-                  sv_cut_reason = jstr row "cut_reason";
-                })
-        rows
-  | _ -> []
-
-let outcome_of_log jobj =
-  match jnum jobj "best_cost" with
-  | None -> None
-  | Some c ->
-      let pairs k f =
-        match Json.mem_opt k jobj with
-        | Some (Json.Obj kvs) -> List.filter_map f kvs
-        | _ -> []
-      in
-      Some
-        {
-          jo_best_cost = c;
-          jo_moves = Option.value (jint jobj "moves") ~default:0;
-          jo_evals = Option.value (jint jobj "evals") ~default:0;
-          jo_cut_reason = jstr jobj "cut_reason";
-          jo_predicted =
-            pairs "predicted" (fun (k, v) ->
-                match v with
-                | Json.Num v -> Some (k, Some v)
-                | Json.Null -> Some (k, None)
-                | _ -> None);
-          jo_sizes =
-            pairs "sizes" (fun (k, v) ->
-                match v with Json.Num v -> Some (k, v) | _ -> None);
-          jo_winner_restart = jint jobj "winner_restart";
-          jo_winner_score = jnum jobj "winner_score";
-          jo_sweep = sweep_of_log jobj;
-          jo_shape = jstr jobj "shape";
-          jo_warm = jstr jobj "warm";
-          jo_winner =
-            (let arr k =
-               match Json.mem_opt k jobj with
-               | Some (Json.Arr vs) ->
-                   Some
-                     (Array.of_list
-                        (List.filter_map
-                           (function Json.Num v -> Some v | _ -> None)
-                           vs))
-               | _ -> None
-             in
-             match (arr "winner_values", arr "winner_grid", arr "winner_probs") with
-             | Some values, Some grid, Some probs when values <> [||] ->
-                 Some (values, Array.map int_of_float grid, probs)
-             | _ -> None);
-        }
-
-let cache_of_log jobj =
-  match jstr jobj "cache" with
-  | Some "hit" -> Some Core.Compile_cache.Hit
-  | Some "miss" -> Some Core.Compile_cache.Miss
-  | Some _ | None -> None
-
 let fresh_job ~id ~spec ~submitted_at =
   {
     id;
@@ -610,75 +352,57 @@ let fresh_job ~id ~spec ~submitted_at =
     ring = None;
   }
 
-(* Jobs in submission order; ones whose latest record still says
-   queued/running were interrupted by the crash/restart. A torn final
-   line (the daemon died mid-append) is skipped, not fatal. *)
-let replay_log path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-      let table : (int, job) Hashtbl.t = Hashtbl.create 64 in
-      let order = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           match Json.of_string line with
-           | Error _ -> ()
-           | Ok wrap -> begin
-               match (jstr wrap "log", Json.mem_opt "job" wrap) with
-               | Some kind, Some jobj -> begin
-                   match jint jobj "id" with
-                   | None -> ()
-                   | Some id -> begin
-                       let job =
-                         match Hashtbl.find_opt table id with
-                         | Some j -> j
-                         | None ->
-                             let j =
-                               fresh_job ~id ~spec:(spec_of_log wrap jobj)
-                                 ~submitted_at:
-                                   (Option.value
-                                      (match kind with
-                                      | "submit" -> jnum wrap "t"
-                                      | _ -> jnum wrap "submitted_at")
-                                      ~default:0.0)
-                             in
-                             order := id :: !order;
-                             Hashtbl.replace table id j;
-                             j
-                       in
-                       if kind = "finish" then begin
-                         (match jstr jobj "state" with
-                         | Some s -> begin
-                             match state_of_name s with
-                             | Some ((Done | Failed | Cancelled) as st) -> job.state <- st
-                             | Some (Queued | Running) | None -> ()
-                           end
-                         | None -> ());
-                         job.started_at <- jnum wrap "started_at";
-                         job.finished_at <- jnum wrap "t";
-                         job.cache <- cache_of_log jobj;
-                         job.error <- jstr jobj "error";
-                         job.outcome <- outcome_of_log jobj
-                       end
-                     end
-                 end
-               | _ -> ()
-             end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev_map (fun id -> Hashtbl.find table id) !order
+(* Open [path] and rebuild its jobs, in submission order; ones whose
+   latest record still says queued/running were interrupted by the
+   crash/restart. *)
+let replay_journal path =
+  let table : (int, job) Hashtbl.t = Hashtbl.create 64 in
+  let order = ref [] in
+  let replay wrap =
+    match (jstr wrap "log", Json.mem_opt "job" wrap) with
+    | Some kind, Some jobj -> begin
+        match jint jobj "id" with
+        | None -> ()
+        | Some id ->
+            let job =
+              match Hashtbl.find_opt table id with
+              | Some j -> j
+              | None ->
+                  let submitted_at =
+                    jnum wrap (if kind = "submit" then "t" else "submitted_at")
+                  in
+                  let j =
+                    fresh_job ~id ~spec:(spec_of_log wrap jobj)
+                      ~submitted_at:(Option.value submitted_at ~default:0.0)
+                  in
+                  order := id :: !order;
+                  Hashtbl.replace table id j;
+                  j
+            in
+            if kind = "finish" then begin
+              (match Option.bind (jstr jobj "state") state_of_name with
+              | Some ((Done | Failed | Cancelled) as st) -> job.state <- st
+              | Some (Queued | Running) | None -> ());
+              job.started_at <- jnum wrap "started_at";
+              job.finished_at <- jnum wrap "t";
+              job.cache <- Proto.cache_of_json (Json.mem_opt "cache" jobj);
+              job.error <- jstr jobj "error";
+              job.outcome <- Proto.outcome_of_json jobj
+            end
+      end
+    | _ -> ()
+  in
+  let store = Store.open_ path ~replay in
+  (store, List.rev_map (Hashtbl.find table) !order)
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* The fleet-aware compile path: local cache first (the common case),
-   then — on a local miss — the fleet's replicated verdict directory and
-   peers before spending a compile. Equivalent to
-   [Core.Compile_cache.compile] when no fleet is configured: [find]/[add]
-   are its two halves. *)
+   then — on a local miss — the peers' verdicts before spending a compile.
+   Equivalent to [Core.Compile_cache.compile] when no fleet is configured:
+   [find]/[add] are its two halves. *)
 let compile_for_job t ?corner source =
   match Core.Compile_cache.key_of_source ?corner source with
   | Error e -> Error (e, Core.Compile_cache.Miss) (* unparseable: never cached *)
@@ -688,26 +412,28 @@ let compile_for_job t ?corner source =
       | Some (Error e) -> Error (e, Core.Compile_cache.Hit)
       | None -> begin
           let remote =
-            match t.cfg.fleet with Some f -> Fleet.lookup_remote f ~hash:key | None -> None
+            match t.cfg.fleet with
+            | Some f -> Fleet.lookup f Proto.Verdicts ~key
+            | None -> []
           in
           match remote with
-          | Some (Error e) ->
+          | Proto.Verdict (_, Some e) :: _ ->
               (* The fleet already knows this source fails: fail fast and
                  cache the verdict so the next submission is a local hit. *)
               Core.Compile_cache.add t.cache ~key (Error e);
               Error (e, Core.Compile_cache.Miss)
-          | Some (Ok ()) | None -> begin
+          | _ -> begin
               (* Known-good elsewhere still compiles here (compiled
                  problems hold closures and cannot cross the wire), but
                  the remote hit is counted by the fleet. *)
               let value = Core.Compile.compile_source ?corner source in
               Core.Compile_cache.add t.cache ~key value;
               (match (remote, t.cfg.fleet) with
-              | None, Some f ->
+              | [], Some f ->
                   (* A genuinely new verdict propagates; one the fleet told
                      us about doesn't need to go back out. *)
-                  Fleet.push f ~hash:key
-                    ~error:(match value with Ok _ -> None | Error e -> Some e)
+                  Fleet.push f
+                    (Proto.Verdict (key, match value with Ok _ -> None | Error e -> Some e))
               | _ -> ());
               match value with
               | Ok p -> Ok (p, Core.Compile_cache.Miss)
@@ -738,6 +464,27 @@ let sum_moves all =
 
 let sum_evals all =
   List.fold_left (fun a (r : Core.Oblx.result) -> a + r.Core.Oblx.evals) 0 all
+
+(* What an annealing run over restarts [lo, ...) leaves on a job record. *)
+let outcome_of_run p ~lo ~shape (best : Core.Oblx.result) all =
+  {
+    Proto.jo_best_cost = best.Core.Oblx.best_cost;
+    jo_moves = sum_moves all;
+    jo_evals = sum_evals all;
+    jo_cut_reason = cut_reason_of best all;
+    jo_predicted = best.Core.Oblx.predicted;
+    jo_sizes = Core.Report.sizes p best.Core.Oblx.final;
+    jo_winner_restart = Some (lo + winner_index best all);
+    jo_winner_score = Some (Core.Oblx.score p best);
+    jo_sweep = [];
+    jo_shape = shape;
+    jo_warm = best.Core.Oblx.warm;
+    jo_winner =
+      Some
+        ( Array.copy best.Core.Oblx.final.Core.State.values,
+          Array.copy best.Core.Oblx.final.Core.State.grid_index,
+          best.Core.Oblx.probs );
+  }
 
 (* "ok" for one sweep row: every specification at or inside its good
    target. The direction comes from the good/bad ordering — good <= bad
@@ -782,6 +529,38 @@ let override_specs (p : Core.Problem.t) overrides =
               p.Core.Problem.specs;
         }
 
+(* Per-job telemetry shard: this worker buffers its own events and merges
+   them into the shared summary in batches at stage boundaries, so
+   concurrent workers don't serialize the daemon's telemetry per event.
+   A traced job's ring rides next to the summary, capped at Stage level:
+   a job's recent history, not a move torrent. *)
+let job_shard t (j : job) =
+  Obs.Shard.create
+    (match j.ring with
+    | Some ring ->
+        Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
+        :: Obs.Trace.sinks t.obs_base
+    | None -> Obs.Trace.sinks t.obs_base)
+
+(* One annealing run for job [j] on this worker, its events into buffer
+   [buffer] of [shard]. The deadline is a latency bound from submission,
+   so the queue wait already spent part of it — recomputed per call
+   because a stolen shard starts later than the scatter did; an exhausted
+   budget still runs, aborting at move 0 via the annealer's pre-loop
+   poll. *)
+let anneal t (j : job) shard ~buffer ?restarts ?warm_starts p =
+  let deadline_s =
+    Option.map
+      (fun budget -> Float.max 0.0 (budget -. (now () -. j.submitted_at)))
+      j.spec.Proto.sb_deadline_s
+  in
+  let moves = match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves in
+  Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves ~runs:j.spec.Proto.sb_runs ~jobs:1
+    ~incremental:t.cfg.incremental ?restarts ?deadline_s ?warm_starts
+    ~poll:(fun () -> Atomic.get j.cancel)
+    ~obs:(Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard buffer ])
+    p
+
 (* A sweep job: one (jobs = 1) synthesis per variant, run sequentially on
    this worker, every compile routed through the shared cache under its
    (canon, corner) key — the first variant at a given key compiles, the
@@ -790,156 +569,115 @@ let override_specs (p : Core.Problem.t) overrides =
    pool's worker count. Sweep jobs are never scattered across a fleet:
    the shared compile is the point. *)
 let run_sweep t (j : job) ~worker =
-  let sinks =
-    match j.ring with
-    | Some ring ->
-        Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
-        :: Obs.Trace.sinks t.obs_base
-    | None -> Obs.Trace.sinks t.obs_base
-  in
-  let shard = Obs.Shard.create sinks in
-  let moves =
-    match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
-  in
+  let shard = job_shard t j in
   let rows = ref [] in
   (* The cross-variant winner, for the job-level summary fields. *)
   let best : (float * Core.Problem.t * Core.Oblx.result) option ref = ref None in
+  let variant k (v : Proto.variant) =
+    let row ?cache ?error () =
+      {
+        Proto.sv_name = v.Proto.vr_name;
+        sv_corner = v.Proto.vr_corner;
+        sv_cache = cache;
+        sv_best_cost = None;
+        sv_ok = None;
+        sv_error = error;
+        sv_predicted = [];
+        sv_moves = 0;
+        sv_evals = 0;
+        sv_cut_reason = None;
+      }
+    in
+    let fail ?cache e = row ?cache ~error:e () in
+    let corner =
+      match v.Proto.vr_corner with
+      | None -> Ok None
+      | Some c -> begin
+          match Devices.Registry.find_corner c with
+          | Some corner -> Ok (Some corner)
+          | None -> Error (Printf.sprintf "unknown corner %S" c)
+        end
+    in
+    match corner with
+    | Error e -> fail e
+    | Ok corner -> begin
+        match compile_for_job t ?corner j.spec.Proto.sb_source with
+        | Error (e, cache) -> fail ~cache e
+        | Ok (p, cache) -> begin
+            match override_specs p v.Proto.vr_specs with
+            | Error e -> fail ~cache e
+            | Ok p' -> begin
+                match anneal t j shard ~buffer:k p' with
+                | b, all ->
+                    (match !best with
+                    | Some (c, _, _) when c <= b.Core.Oblx.best_cost -> ()
+                    | Some _ | None -> best := Some (b.Core.Oblx.best_cost, p', b));
+                    {
+                      (row ~cache ()) with
+                      sv_best_cost = Some b.Core.Oblx.best_cost;
+                      sv_ok = Some (specs_met p' b.Core.Oblx.predicted);
+                      sv_predicted = b.Core.Oblx.predicted;
+                      sv_moves = sum_moves all;
+                      sv_evals = sum_evals all;
+                      sv_cut_reason = cut_reason_of b all;
+                    }
+                | exception exn -> fail ~cache (Printexc.to_string exn)
+              end
+          end
+      end
+  in
   Fun.protect
     ~finally:(fun () -> Obs.Shard.drain shard)
     (fun () ->
       List.iteri
-        (fun k (v : Proto.variant) ->
-          if Atomic.get j.cancel = None then begin
-            let fail ?cache e =
-              {
-                sv_name = v.Proto.vr_name;
-                sv_corner = v.Proto.vr_corner;
-                sv_cache = cache;
-                sv_best_cost = None;
-                sv_ok = None;
-                sv_error = Some e;
-                sv_predicted = [];
-                sv_moves = 0;
-                sv_evals = 0;
-                sv_cut_reason = None;
-              }
-            in
-            let corner =
-              match v.Proto.vr_corner with
-              | None -> Ok None
-              | Some c -> begin
-                  match Devices.Registry.find_corner c with
-                  | Some corner -> Ok (Some corner)
-                  | None -> Error (Printf.sprintf "unknown corner %S" c)
-                end
-            in
-            let row =
-              match corner with
-              | Error e -> fail e
-              | Ok corner -> begin
-                  match compile_for_job t ?corner j.spec.Proto.sb_source with
-                  | Error (e, cache) -> fail ~cache e
-                  | Ok (p, cache) -> begin
-                      match override_specs p v.Proto.vr_specs with
-                      | Error e -> fail ~cache e
-                      | Ok p' -> begin
-                          let deadline_s =
-                            Option.map
-                              (fun budget ->
-                                Float.max 0.0 (budget -. (now () -. j.submitted_at)))
-                              j.spec.Proto.sb_deadline_s
-                          in
-                          let obs =
-                            Obs.Trace.with_sinks t.obs_base
-                              [ Obs.Shard.for_restart shard k ]
-                          in
-                          match
-                            Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves
-                              ~runs:j.spec.Proto.sb_runs ~jobs:1
-                              ~incremental:t.cfg.incremental ?deadline_s
-                              ~poll:(fun () -> Atomic.get j.cancel)
-                              ~obs p'
-                          with
-                          | b, all ->
-                              (match !best with
-                              | Some (c, _, _) when c <= b.Core.Oblx.best_cost -> ()
-                              | Some _ | None ->
-                                  best := Some (b.Core.Oblx.best_cost, p', b));
-                              {
-                                sv_name = v.Proto.vr_name;
-                                sv_corner = v.Proto.vr_corner;
-                                sv_cache = Some cache;
-                                sv_best_cost = Some b.Core.Oblx.best_cost;
-                                sv_ok = Some (specs_met p' b.Core.Oblx.predicted);
-                                sv_error = None;
-                                sv_predicted = b.Core.Oblx.predicted;
-                                sv_moves = sum_moves all;
-                                sv_evals = sum_evals all;
-                                sv_cut_reason = cut_reason_of b all;
-                              }
-                          | exception exn -> fail ~cache (Printexc.to_string exn)
-                        end
-                    end
-                end
-            in
-            rows := row :: !rows
-          end)
+        (fun k v -> if Atomic.get j.cancel = None then rows := variant k v :: !rows)
         j.spec.Proto.sb_sweep;
       let rows = List.rev !rows in
       (* The job-level cache field reports the first variant's outcome
          (informational); the per-row outcomes are authoritative. *)
       (match rows with
-      | { sv_cache = Some c; _ } :: _ -> locked t (fun () -> j.cache <- Some c)
+      | { Proto.sv_cache = Some c; _ } :: _ -> locked t (fun () -> j.cache <- Some c)
       | _ -> ());
-      let jo_moves = List.fold_left (fun a r -> a + r.sv_moves) 0 rows in
-      let jo_evals = List.fold_left (fun a r -> a + r.sv_evals) 0 rows in
-      let jo_cut_reason = List.find_map (fun r -> r.sv_cut_reason) rows in
+      let summary =
+        {
+          Proto.jo_best_cost = 0.0;
+          jo_moves = List.fold_left (fun a r -> a + r.Proto.sv_moves) 0 rows;
+          jo_evals = List.fold_left (fun a r -> a + r.Proto.sv_evals) 0 rows;
+          jo_cut_reason = List.find_map (fun r -> r.Proto.sv_cut_reason) rows;
+          jo_predicted = [];
+          jo_sizes = [];
+          jo_winner_restart = None;
+          jo_winner_score = None;
+          jo_sweep = rows;
+          jo_shape = None;
+          jo_warm = None;
+          jo_winner = None;
+        }
+      in
+      let cancelled = Atomic.get j.cancel <> None in
       match !best with
       | None ->
           (* Every variant failed (or the job was cancelled before any
              completed): the rows still ride on the outcome so the caller
              sees per-variant reasons. *)
-          let state = if Atomic.get j.cancel <> None then Cancelled else Failed in
           let error =
-            match List.find_opt (fun r -> r.sv_error <> None) rows with
-            | Some { sv_name; sv_error = Some e; _ } ->
-                Printf.sprintf "%s: %s" sv_name e
+            match List.find_opt (fun r -> r.Proto.sv_error <> None) rows with
+            | Some { Proto.sv_name; sv_error = Some e; _ } -> Printf.sprintf "%s: %s" sv_name e
             | _ -> "sweep: no variant completed"
           in
-          finish t j ~worker:(Some worker) ~state ~error
-            ~outcome:
-              {
-                jo_best_cost = 0.0;
-                jo_moves;
-                jo_evals;
-                jo_cut_reason;
-                jo_predicted = [];
-                jo_sizes = [];
-                jo_winner_restart = None;
-                jo_winner_score = None;
-                jo_sweep = rows;
-                jo_shape = None;
-                jo_warm = None;
-                jo_winner = None;
-              }
-            ()
+          finish t j ~worker:(Some worker)
+            ~state:(if cancelled then Cancelled else Failed)
+            ~error ~outcome:summary ()
       | Some (cost, pw, bw) ->
-          let state = if Atomic.get j.cancel <> None then Cancelled else Done in
-          finish t j ~worker:(Some worker) ~state
+          finish t j ~worker:(Some worker)
+            ~state:(if cancelled then Cancelled else Done)
             ~outcome:
               {
+                summary with
                 jo_best_cost = cost;
-                jo_moves;
-                jo_evals;
-                jo_cut_reason;
                 jo_predicted = bw.Core.Oblx.predicted;
                 jo_sizes = Core.Report.sizes pw bw.Core.Oblx.final;
-                jo_winner_restart = None;
                 jo_winner_score = Some (Core.Oblx.score pw bw);
-                jo_sweep = rows;
-                jo_shape = None;
-                jo_warm = None;
-                jo_winner = None;
               }
             ())
 
@@ -967,32 +705,11 @@ let run_job t (j : job) ~worker =
       match override_specs compiled j.spec.Proto.sb_spec_overrides with
       | Error e -> finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
       | Ok p ->
-      let sinks =
-        match j.ring with
-        | Some ring ->
-            (* The ring rides next to the global summary but is capped at
-               Stage level: a job's recent history, not a move torrent. *)
-            Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
-            :: Obs.Trace.sinks t.obs_base
-        | None -> Obs.Trace.sinks t.obs_base
-      in
-      (* Per-job shard: this worker buffers its own events and merges them
-         into the shared summary (and the job's ring) in batches at stage
-         boundaries, so concurrent workers don't serialize the daemon's
-         telemetry per event. Buffer [k] belongs to the run over restart
-         range starting at [k]: a plain job uses buffer 0 only; a
-         scattered job gives each locally-run shard (shard 0 and any
-         steals, which run on concurrent threads) its own buffer. *)
-      let shard = Obs.Shard.create sinks in
-      let moves =
-        match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
-      in
-      (* One shard's (or the whole budget's) annealing on this daemon.
-         The deadline is a latency bound from submission, so the queue
-         wait already spent part of it — recomputed per call because a
-         stolen shard starts later than the scatter did; an exhausted
-         budget still runs, aborting at move 0 via the annealer's
-         pre-loop poll. *)
+      (* Buffer [k] of the shard belongs to the run over the restart range
+         starting at [k]: a plain job uses buffer 0 only; a scattered job
+         gives each locally-run shard (shard 0 and any steals, which run
+         on concurrent threads) its own buffer. *)
+      let shard = job_shard t j in
       (* The journaled warm snapshot, attached positionally: global
          restart k < |sb_warm| seeds from entry k (the rest stay cold).
          Indices are global, so a sharded execution passes the full
@@ -1001,44 +718,17 @@ let run_job t (j : job) ~worker =
       let warm_starts =
         Array.of_list (List.map Corpus.warm_start_of_entry j.spec.Proto.sb_warm)
       in
+      let hashes = hashes_of_source j.spec.Proto.sb_source in
+      let shape = Option.map snd hashes in
       let run_range ?restarts () =
-        let deadline_s =
-          Option.map
-            (fun budget -> Float.max 0.0 (budget -. (now () -. j.submitted_at)))
-            j.spec.Proto.sb_deadline_s
-        in
-        let buffer = match restarts with Some (lo, _) -> lo | None -> 0 in
-        let obs = Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard buffer ] in
-        Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves ~runs:j.spec.Proto.sb_runs
-          ~jobs:1 ~incremental:t.cfg.incremental ?restarts ?deadline_s ~warm_starts
-          ~poll:(fun () -> Atomic.get j.cancel)
-          ~obs p
-      in
-      let winner_state (best : Core.Oblx.result) =
-        ( Array.copy best.Core.Oblx.final.Core.State.values,
-          Array.copy best.Core.Oblx.final.Core.State.grid_index,
-          best.Core.Oblx.probs )
+        let lo = match restarts with Some (lo, _) -> lo | None -> 0 in
+        let best, all = anneal t j shard ~buffer:lo ?restarts ~warm_starts p in
+        outcome_of_run p ~lo ~shape best all
       in
       let local_shard ~lo ~hi =
         match run_range ~restarts:(lo, hi) () with
-        | best, all ->
-            Ok
-              {
-                Fleet.sr_lo = lo;
-                sr_hi = hi;
-                sr_peer = None;
-                sr_stolen = false;
-                sr_best_cost = best.Core.Oblx.best_cost;
-                sr_winner_restart = lo + winner_index best all;
-                sr_winner_score = Core.Oblx.score p best;
-                sr_predicted = best.Core.Oblx.predicted;
-                sr_sizes = Core.Report.sizes p best.Core.Oblx.final;
-                sr_moves = sum_moves all;
-                sr_evals = sum_evals all;
-                sr_cut_reason = cut_reason_of best all;
-                sr_warm = best.Core.Oblx.warm;
-                sr_winner = Some (winner_state best);
-              }
+        | o ->
+            Ok { Fleet.sr_lo = lo; sr_hi = hi; sr_peer = None; sr_stolen = false; sr_outcome = o }
         | exception exn -> Error (Printexc.to_string exn)
       in
       (* Record a finished job's winner in the corpus (and replicate a
@@ -1047,9 +737,8 @@ let run_job t (j : job) ~worker =
          merged one. Recording is unconditional on [cfg.warm]: the
          corpus fills passively like the journal, [warm] only gates
          whether submits read from it. *)
-      let hashes = hashes_of_source j.spec.Proto.sb_source in
-      let record_corpus (outcome : outcome) =
-        match (j.spec.Proto.sb_shard, outcome.jo_winner, hashes) with
+      let record_corpus (outcome : Proto.outcome) =
+        match (j.spec.Proto.sb_shard, outcome.Proto.jo_winner, hashes) with
         | None, Some (values, grid, probs), Some (canon, shape) ->
             let entry =
               {
@@ -1057,17 +746,14 @@ let run_job t (j : job) ~worker =
                 en_canon = canon;
                 en_job = j.id;
                 en_name = j.spec.Proto.sb_name;
-                en_cost = outcome.jo_best_cost;
+                en_cost = outcome.Proto.jo_best_cost;
                 en_values = values;
                 en_grid = grid;
                 en_probs = probs;
               }
             in
-            if Corpus.add t.corpus entry then begin
-              match t.cfg.fleet with
-              | Some f -> Fleet.corpus_push f ~entry
-              | None -> ()
-            end
+            if Corpus.add t.corpus entry then
+              Option.iter (fun f -> Fleet.push f (Proto.Entry entry)) t.cfg.fleet
         | _ -> ()
       in
       let finish_with outcome =
@@ -1075,70 +761,42 @@ let run_job t (j : job) ~worker =
         finish t j ~worker:(Some worker) ~state ~outcome ();
         if state = Done then record_corpus outcome
       in
-      let shape = Option.map snd hashes in
       Fun.protect
         ~finally:(fun () -> Obs.Shard.drain shard)
         (fun () ->
-          let scatterable =
-            j.spec.Proto.sb_shard = None && j.spec.Proto.sb_runs > 1
-            &&
-            match t.cfg.fleet with Some f -> Fleet.peers f <> [] | None -> false
-          in
-          if scatterable then begin
-            (* Coordinator path: shard the budget over the fleet, steal
-               what dies, merge by the winner rule. *)
-            let f = Option.get t.cfg.fleet in
-            match Fleet.scatter f ~submit:j.spec ~run_local:local_shard with
-            | Error e ->
-                finish t j ~worker:(Some worker) ~state:Failed
-                  ~error:(Printf.sprintf "fleet scatter failed: %s" e)
-                  ()
-            | Ok shards ->
-                let w = Option.get (Fleet.merge shards) in
-                finish_with
-                  {
-                    jo_best_cost = w.Fleet.sr_best_cost;
-                    jo_moves =
-                      List.fold_left (fun a s -> a + s.Fleet.sr_moves) 0 shards;
-                    jo_evals =
-                      List.fold_left (fun a s -> a + s.Fleet.sr_evals) 0 shards;
-                    jo_cut_reason =
-                      (match w.Fleet.sr_cut_reason with
-                      | Some r -> Some r
-                      | None ->
-                          List.find_map (fun s -> s.Fleet.sr_cut_reason) shards);
-                    jo_predicted = w.Fleet.sr_predicted;
-                    jo_sizes = w.Fleet.sr_sizes;
-                    jo_winner_restart = Some w.Fleet.sr_winner_restart;
-                    jo_winner_score = Some w.Fleet.sr_winner_score;
-                    jo_sweep = [];
-                    jo_shape = shape;
-                    jo_warm = w.Fleet.sr_warm;
-                    jo_winner = w.Fleet.sr_winner;
-                  }
-          end
-          else begin
-            (* Plain or shard-executing path: anneal the requested range
-               (the whole budget when unsharded) on this worker. *)
-            let restarts = j.spec.Proto.sb_shard in
-            let lo = match restarts with Some (l, _) -> l | None -> 0 in
-            let best, all = run_range ?restarts () in
-            finish_with
-              {
-                jo_best_cost = best.Core.Oblx.best_cost;
-                jo_moves = sum_moves all;
-                jo_evals = sum_evals all;
-                jo_cut_reason = cut_reason_of best all;
-                jo_predicted = best.Core.Oblx.predicted;
-                jo_sizes = Core.Report.sizes p best.Core.Oblx.final;
-                jo_winner_restart = Some (lo + winner_index best all);
-                jo_winner_score = Some (Core.Oblx.score p best);
-                jo_sweep = [];
-                jo_shape = shape;
-                jo_warm = best.Core.Oblx.warm;
-                jo_winner = Some (winner_state best);
-              }
-          end)
+          match t.cfg.fleet with
+          | Some f
+            when j.spec.Proto.sb_shard = None && j.spec.Proto.sb_runs > 1 && Fleet.peers f <> []
+            -> begin
+              (* Coordinator path: shard the budget over the fleet, steal
+                 what dies, merge by the winner rule. *)
+              match Fleet.scatter f ~submit:j.spec ~run_local:local_shard with
+              | Error e ->
+                  finish t j ~worker:(Some worker) ~state:Failed
+                    ~error:(Printf.sprintf "fleet scatter failed: %s" e)
+                    ()
+              | Ok shards ->
+                  let w = (Option.get (Fleet.merge shards)).Fleet.sr_outcome in
+                  let total f = List.fold_left (fun a s -> a + f s.Fleet.sr_outcome) 0 shards in
+                  finish_with
+                    {
+                      w with
+                      Proto.jo_moves = total (fun o -> o.Proto.jo_moves);
+                      jo_evals = total (fun o -> o.Proto.jo_evals);
+                      jo_cut_reason =
+                        (match w.Proto.jo_cut_reason with
+                        | Some r -> Some r
+                        | None ->
+                            List.find_map
+                              (fun s -> s.Fleet.sr_outcome.Proto.jo_cut_reason)
+                              shards);
+                      jo_shape = shape;
+                    }
+            end
+          | Some _ | None ->
+              (* Plain or shard-executing path: anneal the requested range
+                 (the whole budget when unsharded) on this worker. *)
+              finish_with (run_range ?restarts:j.spec.Proto.sb_shard ()))
     end
 
 let rec worker_loop t ~worker =
@@ -1176,19 +834,13 @@ let rec worker_loop t ~worker =
 let create cfg =
   if cfg.workers < 0 then invalid_arg "Pool.create: workers must be >= 0";
   if cfg.queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity must be >= 1";
-  let restored_jobs, log, log_bytes =
+  let journal, restored_jobs =
     match cfg.state_dir with
-    | None -> ([], None, 0)
+    | None -> (None, [])
     | Some dir ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let path = Filename.concat dir "jobs.log" in
-        let restored = if Sys.file_exists path then replay_log path else [] in
-        let oc =
-          try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-          with Sys_error _ -> None
-        in
-        let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-        (restored, oc, bytes)
+        let store, jobs = replay_journal (Filename.concat dir "jobs.log") in
+        (Some store, jobs)
   in
   let summary = Obs.Sink.Summary.create () in
   let t =
@@ -1202,9 +854,7 @@ let create cfg =
       stopping = false;
       rejected = 0;
       restored = List.length restored_jobs;
-      log;
-      log_mutex = Mutex.create ();
-      log_bytes;
+      journal;
       rotations = 0;
       cache = Core.Compile_cache.create ~capacity:cfg.cache_capacity ();
       summary;
@@ -1440,7 +1090,7 @@ let stats_json t =
           ( "journal",
             Json.Obj
               [
-                ("bytes", num_i t.log_bytes);
+                ("bytes", num_i (match t.journal with Some s -> Store.bytes s | None -> 0));
                 ("rotations", num_i t.rotations);
                 ( "rotate_bytes",
                   match t.cfg.log_rotate_bytes with Some b -> num_i b | None -> Json.Null );
@@ -1515,33 +1165,32 @@ let stats_json t =
                      ])) );
         ])
 
-(* --- Fleet-facing accessors (the cache_lookup / cache_push verbs) ----- *)
+(* --- Replication: the lookup / push verbs ------------------------------ *)
 
 let fleet t = t.cfg.fleet
 
-let cache_peek t ~hash =
-  (match t.cfg.fleet with Some f -> Fleet.record_served_lookup f | None -> ());
-  Core.Compile_cache.peek t.cache ~key:hash
+(* Only what this daemon's own stores hold — never a recursive ask around
+   the fleet, so lookups between peers can't loop. *)
+let lookup t store ~key =
+  Option.iter (fun f -> Fleet.record_served_lookup f store) t.cfg.fleet;
+  match store with
+  | Proto.Verdicts -> begin
+      match Core.Compile_cache.peek t.cache ~key with
+      | None -> []
+      | Some v -> [ Proto.Verdict (key, match v with Ok () -> None | Error e -> Some e) ]
+    end
+  | Proto.Winners -> List.map (fun e -> Proto.Entry e) (Corpus.lookup t.corpus key)
 
-let cache_note t ~hash ~error =
-  (match t.cfg.fleet with Some f -> Fleet.record_push f ~hash ~error | None -> ());
-  (* A known-bad verdict also lands in the compile cache so the next
-     submission of that source fails fast without compiling. Known-good
-     can't: there is no compiled problem to cache. *)
-  match error with Some e -> Core.Compile_cache.add t.cache ~key:hash (Error e) | None -> ()
-
-(* --- Corpus-facing accessors (corpus_lookup / corpus_push verbs) ------ *)
-
-let corpus_lookup t ~shape =
-  (match t.cfg.fleet with Some f -> Fleet.record_served_corpus_lookup f | None -> ());
-  Corpus.lookup t.corpus shape
-
-(* An inbound replication push. A new entry is absorbed but not pushed
-   onward: every daemon pushes its own winners to every peer directly, so
-   re-propagation would only echo around the full mesh. *)
-let corpus_note t entry =
-  (match t.cfg.fleet with Some f -> Fleet.record_corpus_inbound f | None -> ());
-  ignore (Corpus.add t.corpus entry)
+(* An inbound push is absorbed, not passed on: every daemon pushes its own
+   records to every peer directly. A known-bad verdict lands in the
+   compile cache so the next submission of that source fails fast;
+   known-good can't — there is no compiled problem to cache. *)
+let note t record =
+  Option.iter (fun f -> Fleet.record_inbound_push f (Proto.store_of_record record)) t.cfg.fleet;
+  match record with
+  | Proto.Verdict (key, Some e) -> Core.Compile_cache.add t.cache ~key (Error e)
+  | Proto.Verdict (_, None) -> ()
+  | Proto.Entry e -> ignore (Corpus.add t.corpus e)
 
 (* --- The resynthesize fast path --------------------------------------- *)
 
@@ -1692,10 +1341,7 @@ let shutdown t =
   in
   List.iter (fun j -> finish t j ~worker:None ~state:Cancelled ()) queued;
   List.iter Domain.join domains;
-  Corpus.close t.corpus;
   (* Workers are gone and submissions are refused: nothing appends past
-     this point, so the journal can close. (A second shutdown call raises
-     on the closed channel; swallow it — idempotence is the contract.) *)
-  match t.log with
-  | Some oc -> ( try close_out oc with Sys_error _ -> ())
-  | None -> ()
+     this point, so the journals can close. *)
+  Corpus.close t.corpus;
+  Option.iter Store.close t.journal

@@ -10,7 +10,7 @@
     backpressure contract — rather than queueing unboundedly.
 
     With a [state_dir], the pool also keeps a durable job log
-    ([state_dir/jobs.log], append-only JSONL): one record on submit, one
+    ([state_dir/jobs.log], a {!Store} journal): one record on submit, one
     on finish. {!create} replays it, so a restarted daemon still answers
     [status]/[result] for every pre-restart job id; jobs the old daemon
     left [Queued]/[Running] cannot be resumed and are replayed as
@@ -21,8 +21,8 @@
     losing replay fidelity.
 
     With a {!Fleet.t}, the pool is fleet-aware on two paths: a local
-    compile-cache miss consults the fleet's replicated verdict directory
-    and peers before compiling (and pushes fresh verdicts out), and a
+    compile-cache miss asks the peers' verdicts before compiling (and
+    pushes fresh verdicts out), and a
     multi-restart submit with registered peers is scattered — the restart
     budget split into per-peer shards, slow or dead peers stolen from,
     results merged by {!Core.Oblx.best_of}'s winner rule, bit-identical
@@ -49,9 +49,9 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;  (** compile-cache entries *)
   state_dir : string option;
-      (** when set, every finished job's record is written there as
-          [job-<id>.json], and [jobs.log] journals every submit/finish —
-          the ops trail surviving the daemon, replayed by {!create} *)
+      (** when set, [jobs.log] there journals every submit/finish and
+          [corpus.log] every recorded winner — the ops trail surviving
+          the daemon, replayed by {!create} *)
   default_moves : int option;
       (** moves budget for submissions that leave ["moves"] null *)
   incremental : bool;
@@ -110,18 +110,19 @@ val result_json : t -> int -> (Obs.Json.t, string) result
     streaming-summary sink. *)
 val stats_json : t -> Obs.Json.t
 
-(** {2 Fleet-facing accessors — the [cache_lookup]/[cache_push] verbs} *)
+(** {2 Replication — the [lookup]/[push] verbs} *)
 
 val fleet : t -> Fleet.t option
 
-(** [cache_peek t ~hash] — this daemon's compile verdict for a canon hash
-    (served to a peer's [cache_lookup]; counts as a served lookup). *)
-val cache_peek : t -> hash:string -> (unit, string) result option
+(** [lookup t store ~key] — what this daemon's own store holds for [key]:
+    its compile verdict for a canon hash, or its corpus entries for a
+    shape hash (best first). Counts as a served lookup. *)
+val lookup : t -> Proto.store -> key:string -> Proto.record list
 
-(** [cache_note t ~hash ~error] — a peer's pushed verdict: recorded in the
-    fleet directory, and a failure verdict also lands in the local
-    compile cache so the next submission of that source fails fast. *)
-val cache_note : t -> hash:string -> error:string option -> unit
+(** [note t r] — a peer's pushed record, absorbed and not passed on. A
+    failure verdict lands in the compile cache, so the next submission of
+    that source fails fast; a corpus entry lands in the corpus. *)
+val note : t -> Proto.record -> unit
 
 (** {2 Warm starts — the winner corpus and the resynthesize fast path}
 
@@ -133,15 +134,6 @@ val cache_note : t -> hash:string -> error:string option -> unit
     its shape into [sb_warm] — at most [warm_fraction] of the restarts —
     before journaling, so the snapshot is part of the job's recorded
     inputs and a replay is bit-identical whatever the live corpus holds. *)
-
-(** [corpus_lookup t ~shape] — this daemon's corpus entries for a shape
-    hash, best first (served to a peer's [corpus_lookup] verb). *)
-val corpus_lookup : t -> shape:string -> Corpus.entry list
-
-(** [corpus_note t entry] — a peer's pushed winner: absorbed into the
-    local corpus, not re-propagated (each daemon pushes its own winners
-    to every peer directly). *)
-val corpus_note : t -> Corpus.entry -> unit
 
 (** [resynthesize t r] — rerun finished job [r.rz_id] with [r.rz_specs]
     re-targeted: same source (a compile-cache hit), exactly one restart

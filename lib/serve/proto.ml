@@ -31,7 +31,12 @@ type submit = {
          recompiling — the resynthesize fast path's spec tweak *)
 }
 
-type cache_push = { cp_hash : string; cp_error : string option }
+(* The two replicated stores and what crosses the wire for each. *)
+type store = Verdicts | Winners
+
+type record =
+  | Verdict of string * string option  (* canon hash, compile error *)
+  | Entry of Corpus.entry
 
 (* The resynthesize fast path: rerun a finished job with tweaked spec
    targets, warm-started from its winner, on a reduced schedule. A spec's
@@ -55,14 +60,164 @@ type request =
   | Cancel of int
   | Stats
   | Shutdown
-  | Cache_lookup of string
-  | Cache_push of cache_push
-  | Corpus_lookup of string  (** shape hash *)
-  | Corpus_push of Corpus.entry
+  | Lookup of store * string  (** store, key *)
+  | Push of record
   | Ping
 
 let num_i i = Json.Num (float_of_int i)
 let opt f = function Some v -> f v | None -> Json.Null
+
+(* ------------------------------------------------------------------ *)
+(* A finished job's outcome: the fields the [result] verb serves, the    *)
+(* journal's finish lines hold, and a fleet coordinator merges          *)
+(* ------------------------------------------------------------------ *)
+
+type sweep_row = {
+  sv_name : string;
+  sv_corner : string option;
+  sv_cache : Core.Compile_cache.outcome option;  (* None: failed pre-key *)
+  sv_best_cost : float option;
+  sv_ok : bool option;  (* every spec at/inside its good target *)
+  sv_error : string option;
+  sv_predicted : (string * float option) list;
+  sv_moves : int;
+  sv_evals : int;
+  sv_cut_reason : string option;
+}
+
+type outcome = {
+  jo_best_cost : float;
+  jo_moves : int;
+  jo_evals : int;
+  jo_cut_reason : string option;
+  jo_predicted : (string * float option) list;
+  jo_sizes : (string * float) list;
+  jo_winner_restart : int option;
+  jo_winner_score : float option;
+  jo_sweep : sweep_row list;
+  jo_shape : string option;
+  jo_warm : string option;
+  jo_winner : (float array * int array * float array) option;
+}
+
+let opt_num = opt (fun v -> Json.Num v)
+let opt_str = opt (fun s -> Json.Str s)
+let jstr j k = match Json.mem_opt k j with Some (Json.Str s) -> Some s | _ -> None
+let jnum j k = match Json.mem_opt k j with Some (Json.Num v) -> Some v | _ -> None
+let jint j k = Option.map int_of_float (jnum j k)
+
+let cache_to_json = function
+  | Some Core.Compile_cache.Hit -> Json.Str "hit"
+  | Some Core.Compile_cache.Miss -> Json.Str "miss"
+  | None -> Json.Null
+
+let cache_of_json = function
+  | Some (Json.Str "hit") -> Some Core.Compile_cache.Hit
+  | Some (Json.Str "miss") -> Some Core.Compile_cache.Miss
+  | Some _ | None -> None
+
+let predicted_to_json ps = Json.Obj (List.map (fun (k, v) -> (k, opt_num v)) ps)
+
+(* Decoding is lenient: a malformed member drops out rather than failing
+   the whole record, as befits reading back one's own journal. *)
+let pairs j k f =
+  match Json.mem_opt k j with Some (Json.Obj kvs) -> List.filter_map f kvs | _ -> []
+
+let predicted_of_json j =
+  pairs j "predicted" (fun (k, v) ->
+      match v with Json.Num v -> Some (k, Some v) | Json.Null -> Some (k, None) | _ -> None)
+
+let sweep_row_to_json (r : sweep_row) =
+  Json.Obj
+    [
+      ("variant", Json.Str r.sv_name);
+      ("corner", opt_str r.sv_corner);
+      ("cache", cache_to_json r.sv_cache);
+      ("best_cost", opt_num r.sv_best_cost);
+      ("ok", opt (fun b -> Json.Bool b) r.sv_ok);
+      ("error", opt_str r.sv_error);
+      ("predicted", predicted_to_json r.sv_predicted);
+      ("moves", num_i r.sv_moves);
+      ("evals", num_i r.sv_evals);
+      ("cut_reason", opt_str r.sv_cut_reason);
+    ]
+
+let sweep_row_of_json row =
+  Option.map
+    (fun name ->
+      {
+        sv_name = name;
+        sv_corner = jstr row "corner";
+        sv_cache = cache_of_json (Json.mem_opt "cache" row);
+        sv_best_cost = jnum row "best_cost";
+        sv_ok = (match Json.mem_opt "ok" row with Some (Json.Bool b) -> Some b | _ -> None);
+        sv_error = jstr row "error";
+        sv_predicted = predicted_of_json row;
+        sv_moves = Option.value (jint row "moves") ~default:0;
+        sv_evals = Option.value (jint row "evals") ~default:0;
+        sv_cut_reason = jstr row "cut_reason";
+      })
+    (jstr row "variant")
+
+let farr a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Num v))
+
+let outcome_fields o =
+  [
+    ("best_cost", Json.Num o.jo_best_cost);
+    ("moves", num_i o.jo_moves);
+    ("evals", num_i o.jo_evals);
+    ("winner_restart", opt num_i o.jo_winner_restart);
+    ("winner_score", opt_num o.jo_winner_score);
+    ("predicted", predicted_to_json o.jo_predicted);
+    ("sizes", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) o.jo_sizes));
+  ]
+  @ (match o.jo_shape with Some s -> [ ("shape", Json.Str s) ] | None -> [])
+  @ (match o.jo_warm with Some w -> [ ("warm", Json.Str w) ] | None -> [])
+  @ (match o.jo_winner with
+    | None -> []
+    | Some (values, grid, probs) ->
+        [
+          ("winner_values", farr values);
+          ("winner_grid", farr (Array.map float_of_int grid));
+          ("winner_probs", farr probs);
+        ])
+  @
+  match o.jo_sweep with
+  | [] -> []
+  | rows -> [ ("sweep", Json.Arr (List.map sweep_row_to_json rows)) ]
+
+let outcome_of_json j =
+  let arr k =
+    match Json.mem_opt k j with
+    | Some (Json.Arr vs) ->
+        Some (Array.of_list (List.filter_map (function Json.Num v -> Some v | _ -> None) vs))
+    | _ -> None
+  in
+  Option.map
+    (fun c ->
+      {
+        jo_best_cost = c;
+        jo_moves = Option.value (jint j "moves") ~default:0;
+        jo_evals = Option.value (jint j "evals") ~default:0;
+        jo_cut_reason = jstr j "cut_reason";
+        jo_predicted = predicted_of_json j;
+        jo_sizes =
+          pairs j "sizes" (fun (k, v) -> match v with Json.Num v -> Some (k, v) | _ -> None);
+        jo_winner_restart = jint j "winner_restart";
+        jo_winner_score = jnum j "winner_score";
+        jo_sweep =
+          (match Json.mem_opt "sweep" j with
+          | Some (Json.Arr rows) -> List.filter_map sweep_row_of_json rows
+          | _ -> []);
+        jo_shape = jstr j "shape";
+        jo_warm = jstr j "warm";
+        jo_winner =
+          (match (arr "winner_values", arr "winner_grid", arr "winner_probs") with
+          | Some values, Some grid, Some probs when values <> [||] ->
+              Some (values, Array.map int_of_float grid, probs)
+          | _ -> None);
+      })
+    (jnum j "best_cost")
 
 (* Spec re-targets cross the wire in the sweep-variant shape:
    an object mapping spec name to [good, bad]. *)
@@ -134,6 +289,30 @@ let submit_fields (s : submit) =
   | [] -> []
   | specs -> [ ("spec_overrides", specs_to_json specs) ]
 
+let store_name = function Verdicts -> "verdicts" | Winners -> "corpus"
+let store_to_json s = Json.Str (store_name s)
+
+let store_of_json = function
+  | "verdicts" -> Ok Verdicts
+  | "corpus" -> Ok Winners
+  | s -> Error (Printf.sprintf "unknown store %S" s)
+
+let store_of_record = function Verdict _ -> Verdicts | Entry _ -> Winners
+
+let record_to_json = function
+  | Verdict (hash, error) ->
+      Json.Obj [ ("hash", Json.Str hash); ("error", opt (fun e -> Json.Str e) error) ]
+  | Entry e -> Corpus.entry_to_json e
+
+let record_of_json store j =
+  match store with
+  | Winners -> Result.map (fun e -> Entry e) (Corpus.entry_of_json j)
+  | Verdicts -> (
+      match (Json.mem_opt "hash" j, Json.mem_opt "error" j) with
+      | Some (Json.Str h), (Some Json.Null | None) -> Ok (Verdict (h, None))
+      | Some (Json.Str h), Some (Json.Str e) -> Ok (Verdict (h, Some e))
+      | _ -> Error "verdict record: needs a string \"hash\" and a string-or-null \"error\"")
+
 let request_to_json = function
   | Submit s -> Json.Obj (("op", Json.Str "submit") :: submit_fields s)
   | Sweep s -> Json.Obj (("op", Json.Str "sweep") :: submit_fields s)
@@ -167,17 +346,16 @@ let request_to_json = function
   | Cancel id -> Json.Obj [ ("op", Json.Str "cancel"); ("id", num_i id) ]
   | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
   | Shutdown -> Json.Obj [ ("op", Json.Str "shutdown") ]
-  | Cache_lookup hash -> Json.Obj [ ("op", Json.Str "cache_lookup"); ("hash", Json.Str hash) ]
-  | Cache_push c ->
+  | Lookup (store, key) ->
+      Json.Obj
+        [ ("op", Json.Str "lookup"); ("store", store_to_json store); ("key", Json.Str key) ]
+  | Push r ->
       Json.Obj
         [
-          ("op", Json.Str "cache_push");
-          ("hash", Json.Str c.cp_hash);
-          ("error", opt (fun e -> Json.Str e) c.cp_error);
+          ("op", Json.Str "push");
+          ("store", store_to_json (store_of_record r));
+          ("record", record_to_json r);
         ]
-  | Corpus_lookup shape ->
-      Json.Obj [ ("op", Json.Str "corpus_lookup"); ("shape", Json.Str shape) ]
-  | Corpus_push e -> Json.Obj (("op", Json.Str "corpus_push") :: [ ("entry", Corpus.entry_to_json e) ])
   | Ping -> Json.Obj [ ("op", Json.Str "ping") ]
 
 (* Decoding is lenient on optional fields (absent = default) and strict on
@@ -200,6 +378,11 @@ let request_of_json j =
   in
   let bool_field k ~default =
     match field_opt k with Some v -> Json.to_bool v | None -> default
+  in
+  let store_field op =
+    match field_opt "store" with
+    | Some v -> store_of_json (Json.to_str v)
+    | None -> Error (op ^ ": missing field \"store\"")
   in
   let id () =
     match field_opt "id" with
@@ -297,40 +480,18 @@ let request_of_json j =
   | "cancel" -> Ok (Cancel (id ()))
   | "stats" -> Ok Stats
   | "shutdown" -> Ok Shutdown
-  | "cache_lookup" ->
-      let hash =
-        match field_opt "hash" with
+  | "lookup" ->
+      let key =
+        match field_opt "key" with
         | Some v -> Json.to_str v
-        | None -> raise (Json.Decode_error "cache_lookup: missing field \"hash\"")
+        | None -> raise (Json.Decode_error "lookup: missing field \"key\"")
       in
-      Ok (Cache_lookup hash)
-  | "cache_push" ->
-      let hash =
-        match field_opt "hash" with
-        | Some v -> Json.to_str v
-        | None -> raise (Json.Decode_error "cache_push: missing field \"hash\"")
-      in
-      let error =
-        match field_opt "error" with
-        | Some Json.Null | None -> None
-        | Some v -> Some (Json.to_str v)
-      in
-      Ok (Cache_push { cp_hash = hash; cp_error = error })
-  | "corpus_lookup" ->
-      let shape =
-        match field_opt "shape" with
-        | Some v -> Json.to_str v
-        | None -> raise (Json.Decode_error "corpus_lookup: missing field \"shape\"")
-      in
-      Ok (Corpus_lookup shape)
-  | "corpus_push" -> begin
-      match field_opt "entry" with
-      | None -> Error "corpus_push: missing field \"entry\""
-      | Some e -> begin
-          match Corpus.entry_of_json e with
-          | Ok entry -> Ok (Corpus_push entry)
-          | Error m -> Error ("corpus_push: " ^ m)
-        end
+      Result.map (fun store -> Lookup (store, key)) (store_field "lookup")
+  | "push" -> begin
+      match (store_field "push", field_opt "record") with
+      | Error e, _ -> Error e
+      | Ok _, None -> Error "push: missing field \"record\""
+      | Ok store, Some r -> Result.map (fun r -> Push r) (record_of_json store r)
     end
   | "ping" -> Ok Ping
   | op -> Error (Printf.sprintf "unknown op %S" op)

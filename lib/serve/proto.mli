@@ -19,10 +19,8 @@
     {"op":"shutdown"}
     {"op":"resynthesize","id":I,"specs":{"ugf":[good]|[good,bad]},
      "runs":null,"moves":null,"deadline_s":null,"trace":false}
-    {"op":"cache_lookup","hash":H}
-    {"op":"cache_push","hash":H,"error":E|null}
-    {"op":"corpus_lookup","shape":H}
-    {"op":"corpus_push","entry":{...corpus entry...}}
+    {"op":"lookup","store":"verdicts"|"corpus","key":K}
+    {"op":"push","store":"verdicts"|"corpus","record":{...}}
     {"op":"ping"}
     v}
     See docs/SERVER.md for the full schema including responses. *)
@@ -72,11 +70,16 @@ type submit = {
           keeping the parent's compile-cache hit. *)
 }
 
-(** A compile-cache verdict replicated between fleet peers: [cp_error =
-    None] means the source hashing to [cp_hash] compiled successfully
-    somewhere, [Some msg] that it failed with [msg]. Compiled problems
-    hold closures and never cross the wire — only verdicts do. *)
-type cache_push = { cp_hash : string; cp_error : string option }
+(** The two stores fleet peers replicate, named ["verdicts"] and
+    ["corpus"] on the wire. [Verdicts] is keyed by canon hash, [Winners]
+    (the winner corpus) by shape hash. *)
+type store = Verdicts | Winners
+
+(** One replicated record. [Verdict (hash, error)]: the source hashing to
+    [hash] compiled ([error = None]) or failed with [error] — compiled
+    problems hold closures and never cross the wire, only verdicts do.
+    [Entry e]: a winner-corpus entry. *)
+type record = Verdict of string * string option | Entry of Corpus.entry
 
 (** The resynthesize fast path: rerun finished job [rz_id] with tweaked
     spec targets, warm-started from its recorded winner, on a reduced
@@ -92,6 +95,63 @@ type resynth = {
   rz_trace : bool;
 }
 
+(** {2 A finished job's outcome}
+
+    The fields the [result] verb serves for a finished job, which are also
+    what the job log's finish lines hold and what a fleet coordinator
+    reads back from a peer's shard job. *)
+
+(** One row of a sweep job's verdict table: what one variant's synthesis
+    produced. [sv_cache] is the compile-cache outcome for this variant's
+    (canon, corner) key — the bench gate over "one compile per distinct
+    key" reads these. *)
+type sweep_row = {
+  sv_name : string;
+  sv_corner : string option;
+  sv_cache : Core.Compile_cache.outcome option;  (** [None]: failed pre-key *)
+  sv_best_cost : float option;
+  sv_ok : bool option;  (** every spec at/inside its good target *)
+  sv_error : string option;
+  sv_predicted : (string * float option) list;
+  sv_moves : int;
+  sv_evals : int;
+  sv_cut_reason : string option;
+}
+
+type outcome = {
+  jo_best_cost : float;
+  jo_moves : int;  (** across every restart of the job *)
+  jo_evals : int;
+  jo_cut_reason : string option;
+  jo_predicted : (string * float option) list;
+  jo_sizes : (string * float) list;
+  jo_winner_restart : int option;  (** global restart index of the winner *)
+  jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
+  jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
+  jo_shape : string option;  (** the problem's shape hash, when it parsed *)
+  jo_warm : string option;
+      (** provenance of the winning restart's seed (a corpus label), or
+          [None] when a cold restart won / no warm seeds were attached *)
+  jo_winner : (float array * int array * float array) option;
+      (** winner's (values, grid indices, Hustin probs) — recorded on the
+          job so [resynthesize] can warm-start from it even after the
+          corpus evicted the entry *)
+}
+
+(** [outcome_fields o] — [o]'s members of a job record. Floats print
+    with [%.17g], so they read back bit-identical. *)
+val outcome_fields : outcome -> (string * Obs.Json.t) list
+
+(** [outcome_of_json job] — the outcome in a job record; [None] when it
+    has no [best_cost] (the job never finished a synthesis). Lenient: a
+    malformed member drops out rather than failing the record. *)
+val outcome_of_json : Obs.Json.t -> outcome option
+
+(** A job's compile-cache outcome: ["hit"], ["miss"] or [null]. *)
+val cache_to_json : Core.Compile_cache.outcome option -> Obs.Json.t
+
+val cache_of_json : Obs.Json.t option -> Core.Compile_cache.outcome option
+
 type request =
   | Submit of submit
   | Sweep of submit  (** [sb_sweep] non-empty; rejected when empty *)
@@ -101,13 +161,16 @@ type request =
   | Cancel of int
   | Stats
   | Shutdown
-  | Cache_lookup of string  (** canon hash — do you know this key? *)
-  | Cache_push of cache_push  (** best-effort verdict replication *)
-  | Corpus_lookup of string
-      (** shape hash — answered with the peer's corpus entries for it *)
-  | Corpus_push of Corpus.entry  (** best-effort winner replication *)
+  | Lookup of store * string
+      (** [(store, key)] — answered with [{"records":[...]}], what this
+          daemon's own store holds for [key] ([[]] = unknown) *)
+  | Push of record  (** best-effort replication; receivers don't forward *)
   | Ping  (** liveness probe; answered [{"ok":true}] *)
 
+val store_name : store -> string
+val store_of_record : record -> store
+val record_to_json : record -> Obs.Json.t
+val record_of_json : store -> Obs.Json.t -> (record, string) result
 val request_to_json : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result
 

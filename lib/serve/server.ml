@@ -24,6 +24,7 @@ let default_idle_timeout_s = 30.0
 type registry = {
   r_mutex : Mutex.t;
   r_conns : (int, Unix.file_descr) Hashtbl.t;  (** live connections *)
+  r_over : (int, Unix.file_descr) Hashtbl.t;  (** over-cap ones awaiting their reply *)
   r_threads : (int, Thread.t) Hashtbl.t;
   mutable r_dead : Thread.t list;  (** finished, awaiting a reaping join *)
   mutable r_next : int;
@@ -36,6 +37,7 @@ let registry_create () =
   {
     r_mutex = Mutex.create ();
     r_conns = Hashtbl.create 32;
+    r_over = Hashtbl.create 8;
     r_threads = Hashtbl.create 32;
     r_dead = [];
     r_next = 0;
@@ -94,103 +96,105 @@ let handle cfg reg pool stop (req : Proto.request) =
           Json.Obj (fields @ [ ("connections", connections_json cfg reg) ])
       | j -> j
     end
-  | Proto.Cache_lookup hash -> begin
-      (* What do *I* know about this canon hash — never a recursive ask
-         around the fleet, so lookups between peers can't loop. *)
-      match Pool.cache_peek pool ~hash with
-      | None -> Proto.ok [ ("known", Json.Bool false) ]
-      | Some (Ok ()) ->
-          Proto.ok [ ("known", Json.Bool true); ("compile_error", Json.Null) ]
-      | Some (Error e) ->
-          Proto.ok [ ("known", Json.Bool true); ("compile_error", Json.Str e) ]
-    end
-  | Proto.Cache_push c ->
-      Pool.cache_note pool ~hash:c.Proto.cp_hash ~error:c.Proto.cp_error;
-      Proto.ok []
   | Proto.Resynthesize r -> begin
       match Pool.resynthesize pool r with
       | Ok id -> Proto.ok [ ("id", num_i id) ]
       | Error e -> Proto.err e
     end
-  | Proto.Corpus_lookup shape ->
-      (* Same non-recursive contract as cache_lookup: only what *my*
-         corpus holds for this shape. *)
+  | Proto.Lookup (store, key) ->
       Proto.ok
-        [
-          ( "entries",
-            Json.Arr
-              (List.map Corpus.entry_to_json (Pool.corpus_lookup pool ~shape)) );
-        ]
-  | Proto.Corpus_push entry ->
-      Pool.corpus_note pool entry;
+        [ ("records", Json.Arr (List.map Proto.record_to_json (Pool.lookup pool store ~key))) ]
+  | Proto.Push r ->
+      Pool.note pool r;
       Proto.ok []
   | Proto.Ping -> Proto.ok []
   | Proto.Shutdown ->
       Atomic.set stop true;
       Proto.ok [ ("shutting_down", Json.Bool true) ]
 
+(* With an auth token configured, the first line of a connection must be
+   {"auth":TOKEN}. Success is silent (the client pipelines auth + request);
+   anything else — wrong token, or a first line that is not an auth line at
+   all — gets exactly one ok:false response, then the connection closes.
+   The read timeout is already armed, so a connection that never sends its
+   token is shed by the same clock as an idle one. *)
+let authenticate cfg reg fd reader =
+  match cfg.auth_token with
+  | None -> true
+  | Some token -> begin
+      match Proto.read_line reader with
+      | None -> false (* EOF before a token: nothing to answer *)
+      | Some line -> begin
+          let presented =
+            match Json.of_string line with Ok j -> Proto.auth_of_json j | Error _ -> None
+          in
+          match presented with
+          | Some p when Proto.token_equal p token -> true
+          | Some _ | None ->
+              with_registry reg (fun () -> reg.r_auth_failures <- reg.r_auth_failures + 1);
+              Proto.write_line fd (Proto.err Proto.auth_failed_message);
+              false
+        end
+    end
+
+(* Arm the socket timeouts, authenticate, run [f], close. EAGAIN is the
+   timeout expiring (the connection has gone quiet: reclaim its slot); a
+   client that vanished mid-response (EPIPE, reset) is its problem, not
+   the daemon's. *)
+let with_connection cfg reg fd ~timeout_s f =
+  (try
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+     Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s
+   with Unix.Unix_error _ -> ());
+  (try
+     let reader = Proto.line_reader fd in
+     if authenticate cfg reg fd reader then f reader
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 (* One connection: requests line by line until EOF, idle timeout, or
    shutdown. A malformed line gets an error response rather than a dropped
-   connection, so a misbehaving client can diagnose itself.
-
-   With an auth token configured, the first line must be {"auth":TOKEN}.
-   Success is silent (the client pipelines auth + request); anything else
-   — wrong token, or a first line that is not an auth line at all — gets
-   exactly one ok:false response, then the connection closes. The read
-   timeout is already armed, so a connection that never sends its token is
-   shed by the same clock as an idle one. *)
+   connection, so a misbehaving client can diagnose itself. *)
 let serve_connection cfg reg pool stop fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO cfg.idle_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.idle_timeout_s
-   with Unix.Unix_error _ -> ());
-  let reader = Proto.line_reader fd in
-  let authed =
-    match cfg.auth_token with
-    | None -> true
-    | Some token -> begin
+  with_connection cfg reg fd ~timeout_s:cfg.idle_timeout_s (fun reader ->
+      let rec loop () =
+        if Atomic.get stop then ()
+        else
+          match Proto.read_line reader with
+          | None -> ()
+          | Some line when String.trim line = "" -> loop ()
+          | Some line ->
+              (match Json.of_string line with
+              | Error e -> Proto.write_line fd (Proto.err (Printf.sprintf "bad JSON: %s" e))
+              | Ok j -> begin
+                  match Proto.request_of_json j with
+                  | Error e ->
+                      Proto.write_line fd (Proto.err (Printf.sprintf "bad request: %s" e))
+                  | Ok req -> Proto.write_line fd (handle cfg reg pool stop req)
+                end);
+              loop ()
+      in
+      loop ())
+
+(* How long an over-cap connection gets to send its one request. *)
+let over_cap_read_s = 1.0
+
+(* A connection over the cap still has its first request read, on a short
+   clock, so [shutdown] (an operator's [astrx shutdown], a test harness's
+   teardown) works while clients hold every slot. Anything else — another
+   request, garbage, silence — is answered busy. *)
+let serve_over_cap cfg reg pool stop fd =
+  with_connection cfg reg fd ~timeout_s:over_cap_read_s (fun reader ->
+      let request =
         match Proto.read_line reader with
-        | None -> false (* EOF before a token: nothing to answer *)
-        | Some line -> begin
-            let presented =
-              match Json.of_string line with
-              | Ok j -> Proto.auth_of_json j
-              | Error _ -> None
-            in
-            match presented with
-            | Some p when Proto.token_equal p token -> true
-            | Some _ | None ->
-                with_registry reg (fun () ->
-                    reg.r_auth_failures <- reg.r_auth_failures + 1);
-                (try Proto.write_line fd (Proto.err Proto.auth_failed_message)
-                 with Unix.Unix_error _ | Sys_error _ -> ());
-                false
-          end
-      end
-  in
-  let rec loop () =
-    if Atomic.get stop then ()
-    else
-      match Proto.read_line reader with
-      | None -> ()
-      | Some line when String.trim line = "" -> loop ()
-      | Some line ->
-          (match Json.of_string line with
-          | Error e -> Proto.write_line fd (Proto.err (Printf.sprintf "bad JSON: %s" e))
-          | Ok j -> begin
-              match Proto.request_of_json j with
-              | Error e ->
-                  Proto.write_line fd (Proto.err (Printf.sprintf "bad request: %s" e))
-              | Ok req -> Proto.write_line fd (handle cfg reg pool stop req)
-            end);
-          loop ()
-  in
-  (* EAGAIN is the idle timeout expiring between requests (or before the
-     auth line ever arrived): the connection has gone quiet, reclaim its
-     slot. A client that vanished mid-response (EPIPE, reset) is its
-     problem, not the daemon's. *)
-  (if authed then try loop () with Sys_error _ | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+        | Some line -> Result.bind (Json.of_string line) Proto.request_of_json
+        | None -> Error "closed"
+        | exception Unix.Unix_error _ -> Error "timed out"
+      in
+      Proto.write_line fd
+        (match request with
+        | Ok Proto.Shutdown -> handle cfg reg pool stop Proto.Shutdown
+        | Ok _ | Error _ -> Proto.err (Proto.busy_message cfg.max_connections)))
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop                                                         *)
@@ -207,25 +211,29 @@ let spawn_connection cfg reg pool stop fd =
   List.iter Thread.join dead;
   let admitted =
     with_registry reg (fun () ->
-        if Hashtbl.length reg.r_conns >= cfg.max_connections then begin
-          reg.r_rejected <- reg.r_rejected + 1;
-          false
-        end
+        let over = Hashtbl.length reg.r_conns >= cfg.max_connections in
+        if over then reg.r_rejected <- reg.r_rejected + 1;
+        (* Over-cap connections get a thread too — the accept loop never
+           waits on a client — but only as many as the cap again. *)
+        if over && Hashtbl.length reg.r_over >= cfg.max_connections then false
         else begin
           let id = reg.r_next in
           reg.r_next <- id + 1;
-          reg.r_total <- reg.r_total + 1;
-          Hashtbl.replace reg.r_conns id fd;
+          let table = if over then reg.r_over else reg.r_conns in
+          if not over then reg.r_total <- reg.r_total + 1;
+          Hashtbl.replace table id fd;
           let thread =
             Thread.create
               (fun () ->
                 Fun.protect
                   ~finally:(fun () ->
                     with_registry reg (fun () ->
-                        Hashtbl.remove reg.r_conns id;
+                        Hashtbl.remove table id;
                         Hashtbl.remove reg.r_threads id;
                         reg.r_dead <- Thread.self () :: reg.r_dead))
-                  (fun () -> serve_connection cfg reg pool stop fd))
+                  (fun () ->
+                    if over then serve_over_cap cfg reg pool stop fd
+                    else serve_connection cfg reg pool stop fd))
               ()
           in
           (* The finally above also takes [r_mutex], so this registration
@@ -235,7 +243,7 @@ let spawn_connection cfg reg pool stop fd =
         end)
   in
   if not admitted then begin
-    (* Over the cap: refuse with one error line, then close. The short
+    (* Far over the cap: refuse with one error line, then close. The short
        send timeout keeps a non-reading client from wedging the accept
        loop. *)
     (try
@@ -320,9 +328,9 @@ let run ?ready ?tcp_port ?pool:existing_pool config =
   List.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) listeners;
   let threads =
     with_registry reg (fun () ->
-        Hashtbl.iter
-          (fun _ fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-          reg.r_conns;
+        let nudge _ fd = try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> () in
+        Hashtbl.iter nudge reg.r_conns;
+        Hashtbl.iter nudge reg.r_over;
         let live = Hashtbl.fold (fun _ th acc -> th :: acc) reg.r_threads [] in
         let dead = reg.r_dead in
         reg.r_dead <- [];

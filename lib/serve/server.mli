@@ -15,8 +15,10 @@
     pool's worker domains), so a slow or idle client cannot starve
     another client's [stats]. A connection may carry many requests,
     pipelined one line at a time; the bundled {!Client} still opens one
-    per request. Beyond [max_connections] live connections, new ones are
-    answered with one [ok:false] line ({!Proto.busy_message}) and closed.
+    per request. Beyond [max_connections] live connections, a new one has
+    its first request read on a short clock: [shutdown] is honoured (so a
+    daemon can always be stopped), anything else is answered with one
+    [ok:false] line ({!Proto.busy_message}) and the connection closed.
     A connection idle longer than [idle_timeout_s] between requests is
     closed to reclaim its slot. *)
 

@@ -91,8 +91,8 @@ echo "== compile-verdict replication A -> peers =="
 "$ASTRX" submit ota --socket "$DIR/a.sock" "${AUTH[@]}" --moves 300 --runs 3 --wait --json >/dev/null \
   || fail "ota scatter failed"
 STATS_B=$("$ASTRX" stats --socket "tcp:127.0.0.1:$PORT_B" "${AUTH[@]}" --json)
-grep -qE '"(inbound_pushes|served_lookups)":[1-9]' <<<"$STATS_B" \
-  || fail "peer B never saw replication traffic"
+grep -qE '"verdicts":\{[^}]*"(inbound_pushes|served_lookups)":[1-9]' <<<"$STATS_B" \
+  || fail "peer B never saw verdict replication traffic"
 
 echo "== kill a peer mid-job; steal must not change the bits =="
 REF2=$("$ASTRX" submit simple-ota --socket "$DIR/d.sock" --seed 9 --moves 2500 --runs 6 --wait --json)

@@ -102,6 +102,6 @@ done
 if kill -0 "$DAEMON_PID" 2>/dev/null; then fail "daemon still alive after shutdown"; fi
 if [ -S "$SOCK" ]; then fail "socket file not removed on shutdown"; fi
 DAEMON_PID=
-ls "$DIR/state" | grep -q '^job-' || fail "no job records in the state dir"
+grep -q '"log":"finish"' "$DIR/state/jobs.log" || fail "no finished-job records in the state dir's journal"
 
 echo "serve-smoke: OK"

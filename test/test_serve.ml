@@ -463,49 +463,87 @@ let test_server_end_to_end () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dead daemon must be an error"
 
-(* Boot a daemon on a fresh socket, run [f socket], always drain it. *)
-let sock_counter = ref 0
-
-let with_server ?(workers = 0) ?(max_connections = Serve.Server.default_max_connections)
-    ?(idle_timeout_s = Serve.Server.default_idle_timeout_s) f =
-  incr sock_counter;
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "oblxd-t%d-%d.sock" (Unix.getpid ()) !sock_counter)
-  in
-  let cfg =
-    {
-      Serve.Server.socket_path = socket;
-      tcp = None;
-      auth_token = None;
-      max_connections;
-      idle_timeout_s;
-      pool =
-        { Serve.Pool.default_config with workers; queue_capacity = 8; state_dir = None };
-    }
-  in
+(* Run [cfg] on its own domain and wait until it accepts. [exited] is set
+   as the domain's last act, so teardown can wait for it with a deadline
+   ([Domain.join] has none). *)
+let start_server ?tcp_port ?pool cfg =
   let ready_m = Mutex.create () and ready_c = Condition.create () in
   let ready = ref false in
+  let exited = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
-        Serve.Server.run
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          cfg)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set exited true)
+          (fun () ->
+            Serve.Server.run ?tcp_port ?pool
+              ~ready:(fun () ->
+                Mutex.lock ready_m;
+                ready := true;
+                Condition.signal ready_c;
+                Mutex.unlock ready_m)
+              cfg))
   in
   Mutex.lock ready_m;
   while not !ready do
     Condition.wait ready_c ready_m
   done;
   Mutex.unlock ready_m;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Serve.Client.shutdown ~socket ());
-      Domain.join server)
-    (fun () -> f socket)
+  (server, exited)
+
+(* Teardown that cannot hang: a refused shutdown is retried until the
+   deadline, and the server domain must exit by the same deadline —
+   otherwise the case fails with a message naming the daemon, instead of
+   blocking the whole test run. *)
+let teardown_s = 10.0
+
+let stop_server ~socket ?auth (server, exited) =
+  let deadline = Unix.gettimeofday () +. teardown_s in
+  let rec shut () =
+    match Serve.Client.shutdown ~socket ?auth ~timeout_s:2.0 () with
+    | Ok () -> ()
+    | Error _ when Atomic.get exited -> ()
+    | Error e when Unix.gettimeofday () > deadline ->
+        Alcotest.failf "teardown: daemon %s refused shutdown for %.0f s: %s" socket
+          teardown_s e
+    | Error _ ->
+        Unix.sleepf 0.05;
+        shut ()
+  in
+  shut ();
+  let rec await () =
+    if Atomic.get exited then Domain.join server
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "teardown: daemon %s did not exit within %.0f s of shutdown" socket
+        teardown_s
+    else begin
+      Unix.sleepf 0.01;
+      await ()
+    end
+  in
+  await ()
+
+(* Boot a daemon on a fresh socket, run [f socket], always drain it. *)
+let sock_counter = ref 0
+
+let server_config ?(workers = 0) ?(max_connections = Serve.Server.default_max_connections)
+    ?(idle_timeout_s = Serve.Server.default_idle_timeout_s) () =
+  incr sock_counter;
+  {
+    Serve.Server.socket_path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "oblxd-t%d-%d.sock" (Unix.getpid ()) !sock_counter);
+    tcp = None;
+    auth_token = None;
+    max_connections;
+    idle_timeout_s;
+    pool = { Serve.Pool.default_config with workers; queue_capacity = 8; state_dir = None };
+  }
+
+let with_server ?workers ?max_connections ?idle_timeout_s f =
+  let cfg = server_config ?workers ?max_connections ?idle_timeout_s () in
+  let socket = cfg.Serve.Server.socket_path in
+  let server = start_server cfg in
+  Fun.protect ~finally:(fun () -> stop_server ~socket server) (fun () -> f socket)
 
 let connect_raw socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -565,7 +603,27 @@ let test_server_connection_cap () =
         | Error e -> Alcotest.failf "slot never freed: %s" e
       in
       retry 40;
-      Unix.close b)
+      Unix.close b);
+  (* Every slot held, and shutdown must still get through: an operator can
+     always stop the daemon, and a harness's teardown never waits on its
+     own idle clients. *)
+  let cfg = server_config ~max_connections:2 () in
+  let socket = cfg.Serve.Server.socket_path in
+  let ((_, exited) as server) = start_server cfg in
+  let held = [ connect_raw socket; connect_raw socket ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close held;
+      stop_server ~socket server)
+    (fun () ->
+      (match Serve.Client.shutdown ~socket ~timeout_s:5.0 () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "shutdown refused at the connection cap: %s" e);
+      let deadline = Unix.gettimeofday () +. teardown_s in
+      while (not (Atomic.get exited)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      Alcotest.(check bool) "daemon exits with every slot held" true (Atomic.get exited))
 
 let test_server_idle_timeout () =
   with_server ~idle_timeout_s:0.3 (fun socket ->
@@ -642,25 +700,8 @@ let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
       pool = { Serve.Pool.default_config with workers; state_dir = None };
     }
   in
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let ready = ref false in
   let port = ref 0 in
-  let server =
-    Domain.spawn (fun () ->
-        Serve.Server.run
-          ~tcp_port:(fun p -> port := p)
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          ~pool cfg)
-  in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
+  let server = start_server ~tcp_port:(fun p -> port := p) ~pool cfg in
   let stopped = ref false in
   {
     d_unix = socket;
@@ -670,8 +711,7 @@ let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
       (fun () ->
         if not !stopped then begin
           stopped := true;
-          ignore (Serve.Client.shutdown ~socket ?auth:auth_token ());
-          Domain.join server
+          stop_server ~socket ?auth:auth_token server
         end);
   }
 
@@ -679,9 +719,9 @@ let test_proto_new_verbs_round_trip () =
   let requests =
     [
       Serve.Proto.Submit (submission ~runs:8 ~shard:(2, 5) ());
-      Serve.Proto.Cache_lookup "deadbeef";
-      Serve.Proto.Cache_push { Serve.Proto.cp_hash = "deadbeef"; cp_error = None };
-      Serve.Proto.Cache_push { Serve.Proto.cp_hash = "cafe"; cp_error = Some "no such model" };
+      Serve.Proto.Lookup (Serve.Proto.Verdicts, "deadbeef");
+      Serve.Proto.Push (Serve.Proto.Verdict ("deadbeef", None));
+      Serve.Proto.Push (Serve.Proto.Verdict ("cafe", Some "no such model"));
       Serve.Proto.Ping;
     ]
   in
@@ -703,8 +743,10 @@ let test_proto_new_verbs_round_trip () =
     [
       {|{"op":"submit","source":"s","shard_lo":1}|};
       {|{"op":"submit","source":"s","shard_hi":3}|};
-      {|{"op":"cache_lookup"}|};
-      {|{"op":"cache_push"}|};
+      {|{"op":"lookup","store":"verdicts"}|};
+      {|{"op":"lookup","store":"jobs","key":"k"}|};
+      {|{"op":"push","store":"verdicts"}|};
+      {|{"op":"push","store":"verdicts","record":{"error":null}}|};
     ]
 
 let test_fleet_split_shards () =
@@ -797,24 +839,23 @@ let test_tcp_round_trip () =
       (match Serve.Client.cancel ~socket id with
       | Error _ -> () (* already finished; the point is the verb's transit *)
       | Ok () -> Alcotest.fail "cancel of a done job must be an error");
-      (* cache_lookup answers from the daemon's compile cache. *)
+      (* A verdicts lookup answers from the daemon's compile cache. *)
       let hash =
         match Core.Compile_cache.key_of_source ota_source with
         | Ok k -> k
         | Error e -> Alcotest.failf "canon: %s" e
       in
-      (match ok (Serve.Client.cache_lookup ~socket hash) with
-      | Some (Ok ()) -> ()
-      | Some (Error e) -> Alcotest.failf "good source reported bad: %s" e
-      | None -> Alcotest.fail "compiled hash must be known");
-      Alcotest.(check bool) "unknown hash unknown" true
-        (ok (Serve.Client.cache_lookup ~socket "0000") = None);
-      (* cache_push of a failure verdict is visible to the next lookup. *)
-      ok
-        (Serve.Client.cache_push ~socket
-           { Serve.Proto.cp_hash = "feedface"; cp_error = Some "boom" });
-      (match ok (Serve.Client.cache_lookup ~socket "feedface") with
-      | Some (Error "boom") -> ()
+      let verdicts key = ok (Serve.Client.lookup ~socket Serve.Proto.Verdicts key) in
+      (match verdicts hash with
+      | [ Serve.Proto.Verdict (_, None) ] -> ()
+      | [ Serve.Proto.Verdict (_, Some e) ] ->
+          Alcotest.failf "good source reported bad: %s" e
+      | _ -> Alcotest.fail "compiled hash must be known");
+      Alcotest.(check bool) "unknown hash unknown" true (verdicts "0000" = []);
+      (* A pushed failure verdict is visible to the next lookup. *)
+      ok (Serve.Client.push ~socket (Serve.Proto.Verdict ("feedface", Some "boom")));
+      (match verdicts "feedface" with
+      | [ Serve.Proto.Verdict ("feedface", Some "boom") ] -> ()
       | _ -> Alcotest.fail "pushed verdict must be served back");
       (* The Unix socket serves the same daemon. *)
       let st2 = ok (Serve.Client.stats ~socket:d.d_unix ()) in
@@ -1069,7 +1110,7 @@ let test_fleet_cache_replication () =
   (* Two fleet-aware daemons pointing at each other. Compiling on one
      pushes the verdict to the other; the other's first compile of the
      same source is then a remote hit (it still compiles — closures don't
-     travel — but the fleet knew). *)
+     travel — but a peer knew). *)
   let fb = fleet_config () and fc = fleet_config () in
   let b = boot_daemon ~fleet:fb () and c = boot_daemon ~fleet:fc () in
   Serve.Fleet.set_peers fb [ c.d_tcp ];
@@ -1083,8 +1124,7 @@ let test_fleet_cache_replication () =
       let j = ok (Serve.Client.wait ~socket:b.d_tcp id) in
       Alcotest.(check (option string)) "first daemon compiled" (Some "miss")
         (jstr j "cache");
-      (* The push landed in C's directory before B's job finished (push
-         happens at compile time, before annealing). *)
+      (* C's local miss asks B, which compiled it first: a remote hit. *)
       let id2 = ok (Serve.Client.submit ~socket:c.d_tcp (submission ~moves:200 ())) in
       let j2 = ok (Serve.Client.wait ~socket:c.d_tcp id2) in
       Alcotest.(check (option string)) "second daemon still compiles locally"
@@ -1352,8 +1392,8 @@ let test_proto_warm_round_trip () =
           rz_deadline_s = Some 3.0;
           rz_trace = true;
         };
-      Serve.Proto.Corpus_lookup "shapehash";
-      Serve.Proto.Corpus_push corpus_entry;
+      Serve.Proto.Lookup (Serve.Proto.Winners, "shapehash");
+      Serve.Proto.Push (Serve.Proto.Entry corpus_entry);
     ]
   in
   List.iter
@@ -1413,6 +1453,11 @@ let test_pool_warm_validation () =
   | Ok _ -> Alcotest.fail "resynthesizing an unknown job must fail");
   Serve.Pool.shutdown pool
 
+let corpus_entries pool shape =
+  List.filter_map
+    (function Serve.Proto.Entry e -> Some e | Serve.Proto.Verdict _ -> None)
+    (Serve.Pool.lookup pool Serve.Proto.Winners ~key:shape)
+
 let warm_pool ?state_dir () =
   Serve.Pool.create
     {
@@ -1438,7 +1483,7 @@ let test_pool_corpus_records_and_seeds () =
         | Some s -> s
         | None -> Alcotest.fail "source does not shape-hash"
       in
-      (match Serve.Pool.corpus_lookup pool ~shape with
+      (match corpus_entries pool shape with
       | [ e ] ->
           Alcotest.(check int) "entry names the parent job" parent e.Serve.Corpus.en_job;
           Alcotest.(check bool) "entry carries the winning vector" true
@@ -1470,14 +1515,14 @@ let test_pool_corpus_crash_durability () =
   Alcotest.(check string) "parent finished" "done" (wait_done pool_a parent);
   let shape = Option.get (Serve.Corpus.shape_of_source ota_source) in
   let entry_a =
-    match Serve.Pool.corpus_lookup pool_a ~shape with
+    match corpus_entries pool_a shape with
     | [ e ] -> e
     | other -> Alcotest.failf "pool A: expected 1 entry, got %d" (List.length other)
   in
   (* No shutdown: pool B replays the journal a crashed daemon left. *)
   let pool_b = Serve.Pool.create cfg in
   let entry_b =
-    match Serve.Pool.corpus_lookup pool_b ~shape with
+    match corpus_entries pool_b shape with
     | [ e ] -> e
     | other -> Alcotest.failf "pool B: expected 1 entry, got %d" (List.length other)
   in
@@ -1563,6 +1608,157 @@ let test_pool_resynthesize () =
       Alcotest.(check (option string)) "cached compile" (Some "hit") (jstr j "cache");
       Alcotest.(check bool) "child reports a best design" true (jnum j "best_cost" <> None))
 
+(* --- The journal primitive --- *)
+
+let store_path tag =
+  let dir = temp_state_dir tag in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  (dir, Filename.concat dir "test.log")
+
+let record i = Obs.Json.Obj [ ("i", Obs.Json.Num (float_of_int i)) ]
+
+(* Everything [open_] replays from [path], in order. *)
+let replayed path =
+  let seen = ref [] in
+  let s = Serve.Store.open_ path ~replay:(fun j -> seen := j :: !seen) in
+  (s, List.rev !seen)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let test_store_torn_tail () =
+  let dir, path = store_path "store-torn" in
+  (* Two whole lines, then a crash mid-append. *)
+  write_file path
+    (Obs.Json.to_string (record 0) ^ "\n" ^ Obs.Json.to_string (record 1) ^ "\n{\"i\":");
+  let s, seen = replayed path in
+  Alcotest.(check (list string)) "torn line skipped" [ {|{"i":0}|}; {|{"i":1}|} ]
+    (List.map Obs.Json.to_string seen);
+  Alcotest.(check int) "parseable lines counted" 2 (Serve.Store.lines s);
+  (* The next append starts its own line instead of gluing onto the tail. *)
+  Serve.Store.append s (record 2);
+  Serve.Store.close s;
+  let s, seen = replayed path in
+  Serve.Store.close s;
+  Alcotest.(check int) "append after a torn tail survives" 3 (List.length seen);
+  rm_rf dir
+
+let test_store_ignores_tmp () =
+  let dir, path = store_path "store-tmp" in
+  let s, _ = replayed path in
+  Serve.Store.append s (record 0);
+  Serve.Store.close s;
+  (* A compaction killed mid-write leaves a half-written tmp beside the log. *)
+  write_file (path ^ ".tmp") "{\"i\":99}\n{\"torn";
+  let s, seen = replayed path in
+  Alcotest.(check int) "replay reads the log, not the tmp" 1 (List.length seen);
+  Serve.Store.compact s [ record 5 ];
+  Serve.Store.close s;
+  Alcotest.(check bool) "compaction consumed the tmp" false (Sys.file_exists (path ^ ".tmp"));
+  let s, seen = replayed path in
+  Serve.Store.close s;
+  Alcotest.(check (list string)) "log holds the compacted record" [ {|{"i":5}|} ]
+    (List.map Obs.Json.to_string seen);
+  rm_rf dir
+
+let test_store_compaction_keeps_live () =
+  let dir, path = store_path "store-compact" in
+  let s, _ = replayed path in
+  List.iter (fun i -> Serve.Store.append s (record i)) (List.init 10 Fun.id);
+  Alcotest.(check int) "ten appends" 10 (Serve.Store.lines s);
+  let live = List.map record [ 1; 4; 7; 9 ] in
+  Serve.Store.compact s live;
+  Alcotest.(check int) "lines reset to the live set" 4 (Serve.Store.lines s);
+  Alcotest.(check int) "bytes match the file" (Unix.stat path).Unix.st_size
+    (Serve.Store.bytes s);
+  (* Appends keep working after the swap, after the live records. *)
+  Serve.Store.append s (record 10);
+  Serve.Store.close s;
+  let s, seen = replayed path in
+  Serve.Store.close s;
+  Alcotest.(check (list string)) "every live record, in order, then the new append"
+    (List.map Obs.Json.to_string (live @ [ record 10 ]))
+    (List.map Obs.Json.to_string seen);
+  rm_rf dir
+
+(* --- Format compatibility: a state dir written by an earlier daemon --- *)
+
+(* test/fixtures/state-v1 was written by the pool as it stood before the
+   journal moved onto [Serve.Store]: job 0 is a rotated terminal record,
+   job 1 a plain submit/finish pair, job 2 a two-variant sweep, job 3 was
+   left queued by a crash and failed by the restart, and job 4's submit
+   line is torn. corpus.log holds the winners of jobs 0 and 1, two
+   shapes. The expected values below were recorded when it was written. *)
+let test_state_v1_replays () =
+  let dir = temp_state_dir "state-v1" in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  List.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat "fixtures/state-v1" f) in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      write_file (Filename.concat dir f) text)
+    [ "jobs.log"; "corpus.log" ];
+  let pool =
+    Serve.Pool.create
+      { Serve.Pool.default_config with workers = 0; queue_capacity = 8; state_dir = Some dir }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Pool.shutdown pool;
+      rm_rf dir)
+    (fun () ->
+      let bits = Alcotest.testable (fun f v -> Format.fprintf f "%Lx" v) Int64.equal in
+      let check_done id name cost =
+        let j = ok (Serve.Pool.result_json pool id) in
+        Alcotest.(check (option string)) (Printf.sprintf "job %d done" id) (Some "done")
+          (jstr j "state");
+        Alcotest.(check (option string)) (Printf.sprintf "job %d name" id) (Some name)
+          (jstr j "name");
+        Alcotest.(check (option bits))
+          (Printf.sprintf "job %d best_cost bits" id)
+          (Some cost)
+          (Option.map Int64.bits_of_float (jnum j "best_cost"));
+        j
+      in
+      ignore (check_done 0 "simple-ota" 0x4065d4b96a6d9112L);
+      let j1 = check_done 1 "ota" 0x407c534cb9974fb3L in
+      Alcotest.(check (option string)) "cache outcome replayed" (Some "miss") (jstr j1 "cache");
+      let j2 = check_done 2 "simple-ota" 0x40682692424f33acL in
+      (match Obs.Json.mem_opt "sweep" j2 with
+      | Some (Obs.Json.Arr rows) ->
+          Alcotest.(check (list (option string))) "sweep verdict rows"
+            [ Some "nominal"; Some "slow" ]
+            (List.map (fun r -> jstr r "variant") rows)
+      | _ -> Alcotest.fail "sweep job lost its verdict table");
+      let j3 = ok (Serve.Pool.status_json pool 3) in
+      Alcotest.(check (option string)) "interrupted job failed" (Some "failed") (jstr j3 "state");
+      Alcotest.(check (option string)) "by the restart" (Some "daemon restarted")
+        (jstr j3 "error");
+      (match Serve.Pool.status_json pool 4 with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "the torn submit must not replay");
+      Alcotest.(check (option (float 0.0))) "restored jobs" (Some 4.0)
+        (jnum (Serve.Pool.stats_json pool) "restored_jobs");
+      List.iter
+        (fun (shape, job, cost) ->
+          match corpus_entries pool shape with
+          | [ e ] ->
+              Alcotest.(check int) "corpus entry job" job e.Serve.Corpus.en_job;
+              Alcotest.(check bits) "corpus entry cost bits" cost
+                (Int64.bits_of_float e.Serve.Corpus.en_cost)
+          | es -> Alcotest.failf "shape %s: %d corpus entries" shape (List.length es))
+        [
+          ("3c806443659328c94a36ef01c4a6a199", 0, 0x4065d4b96a6d9112L);
+          ("da528f01f747e401262e53516f3680ba", 1, 0x407c534cb9974fb3L);
+        ];
+      (* Fresh ids continue past the replayed ones. *)
+      Alcotest.(check int) "next id" 4 (ok (Serve.Pool.submit pool (submission ()))))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1643,6 +1839,15 @@ let () =
             test_log_rotation_compacts_and_replays;
           Alcotest.test_case "live jobs survive rotation" `Quick
             test_log_rotation_keeps_live_jobs;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "torn final line skipped" `Quick test_store_torn_tail;
+          Alcotest.test_case "leftover tmp ignored" `Quick test_store_ignores_tmp;
+          Alcotest.test_case "compaction keeps every live record" `Quick
+            test_store_compaction_keeps_live;
+          Alcotest.test_case "state dir from the previous format replays" `Quick
+            test_state_v1_replays;
         ] );
       ( "warm-start",
         [
