@@ -8,7 +8,7 @@ let factor lin =
   done;
   (* The susceptance matrix is a few entries per device: the moment loop
      multiplies by it once per moment, so keep it in CSR. *)
-  { lu = La.Lu.factor g; c_sparse = La.Sparse.of_dense lin.Mna.Linearize.c }
+  { lu = La.Lu.factor_in_place g; c_sparse = La.Sparse.of_dense lin.Mna.Linearize.c }
 
 (* The one recurrence, shared by every entry point so they stay
    bit-identical: r_0 = G^-1 b, r_(k+1) = -G^-1 C r_k, m_k = sel . r_k.

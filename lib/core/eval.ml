@@ -387,14 +387,34 @@ let output_noise_v2_per_hz (lin : Mna.Linearize.t) ~value ~ops ~sel =
    points / ROM list the context currently holds. The full evaluator fills
    a fresh context per measurement; the incremental session allocates one
    context and one environment at [Incr.create] and repoints the fields —
-   the arithmetic either way is identical. *)
+   the arithmetic either way is identical.
+
+   Each transfer function's transient is simulated at most once per
+   context: [slew_rate] and [settle] rows over the same tf share one
+   waveform (or one recorded failure). Every repoint goes through
+   [repoint], which also empties that memo, so no waveform outlives the
+   state it was simulated for. *)
+type tran_wave = Netlist.Ast.tran_card * Mna.Tran.t * float array * float
+
 type spec_ctx = {
   mutable cx_st : State.t;
   mutable cx_nv : float array;  (* bias node voltages *)
   mutable cx_ops : (string * Mna.Dc.op_info) list;
   mutable cx_node_leaving : float array;
   mutable cx_roms : (string * (Awe.Rom.t, string) result) list;
+  mutable cx_tran : (string * (tran_wave, string) result) list;  (* per tf *)
 }
+
+let new_ctx st =
+  { cx_st = st; cx_nv = [||]; cx_ops = []; cx_node_leaving = [||]; cx_roms = []; cx_tran = [] }
+
+let repoint cx ~st ~nv ~ops ~node_leaving ~roms =
+  cx.cx_st <- st;
+  cx.cx_nv <- nv;
+  cx.cx_ops <- ops;
+  cx.cx_node_leaving <- node_leaving;
+  cx.cx_roms <- roms;
+  cx.cx_tran <- []
 
 let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
   let base = value_env_get p (fun () -> cx.cx_st) in
@@ -419,8 +439,9 @@ let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
   let valuef e = Netlist.Expr.eval base e in
   (* Transient waveform of [tf] under the owning jig's .tran budget; the
      in-loop step size is the coarse [dtloop] when declared, else the
-     exact [dt] (Verify always re-measures at the exact [dt]). *)
-  let tran_of tfn =
+     exact [dt] (Verify always re-measures at the exact [dt]). Memoized
+     in the context, failure included. *)
+  let simulate tfn =
     let tc = tran_card_of p tfn in
     let dt =
       match tc.Netlist.Ast.tr_dtloop with Some d -> d | None -> tc.Netlist.Ast.tr_dt
@@ -431,6 +452,17 @@ let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
     in
     let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
     (tc, r, v, t_step)
+  in
+  let tran_of tfn =
+    let res =
+      match List.assoc_opt tfn cx.cx_tran with
+      | Some res -> res
+      | None ->
+          let res = match simulate tfn with w -> Ok w | exception Measurement_failed m -> Error m in
+          cx.cx_tran <- (tfn, res) :: cx.cx_tran;
+          res
+    in
+    match res with Ok w -> w | Error m -> raise (Measurement_failed m)
   in
   let settle_of tfn tol =
     let _, r, v, t_step = tran_of tfn in
@@ -520,14 +552,9 @@ let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
   { Netlist.Expr.lookup; call }
 
 let spec_env (p : Problem.t) (st : State.t) (bp : bias_point) roms =
-  spec_ctx_env p
-    {
-      cx_st = st;
-      cx_nv = bp.node_v;
-      cx_ops = bp.ops;
-      cx_node_leaving = bp.node_leaving;
-      cx_roms = roms;
-    }
+  let cx = new_ctx st in
+  repoint cx ~st ~nv:bp.node_v ~ops:bp.ops ~node_leaving:bp.node_leaving ~roms;
+  spec_ctx_env p cx
 
 (* One spec under an environment: failures and non-finite results both
    report as "unmeasurable". Shared verbatim with the incremental path. *)
@@ -921,15 +948,7 @@ module Incr = struct
        state through [cur_st] — no closure rebuilt per evaluation. *)
     let cur_st = ref p.Problem.state0 in
     let venv = value_env_get p (fun () -> !cur_st) in
-    let spec_cx =
-      {
-        cx_st = p.Problem.state0;
-        cx_nv = [||];
-        cx_ops = [];
-        cx_node_leaving = [||];
-        cx_roms = [];
-      }
-    in
+    let spec_cx = new_ctx p.Problem.state0 in
     let spec_envv = spec_ctx_env p spec_cx in
     let rec uses_transient (e : Netlist.Expr.t) =
       match e with
@@ -1041,11 +1060,7 @@ module Incr = struct
     ss.primed <- false;
     Array.fill ss.last_values 0 (Array.length ss.last_values) Float.nan;
     ss.cur_st := ss.sp.Problem.state0;
-    ss.spec_cx.cx_st <- ss.sp.Problem.state0;
-    ss.spec_cx.cx_nv <- [||];
-    ss.spec_cx.cx_ops <- [];
-    ss.spec_cx.cx_node_leaving <- [||];
-    ss.spec_cx.cx_roms <- [];
+    repoint ss.spec_cx ~st:ss.sp.Problem.state0 ~nv:[||] ~ops:[] ~node_leaving:[||] ~roms:[];
     Array.iter
       (fun ec ->
         ec.flen <- 0;
@@ -1496,12 +1511,7 @@ module Incr = struct
     (* Re-measure stale specs with the session's persistent environment —
        the same arithmetic as the env the full evaluator builds, pointed
        at this evaluation's bias solution. *)
-    let cx = ss.spec_cx in
-    cx.cx_st <- st;
-    cx.cx_nv <- bp.node_v;
-    cx.cx_ops <- bp.ops;
-    cx.cx_node_leaving <- bp.node_leaving;
-    cx.cx_roms <- roms;
+    repoint ss.spec_cx ~st ~nv:bp.node_v ~ops:bp.ops ~node_leaving:bp.node_leaving ~roms;
     let env = ss.spec_envv in
     (* Corner rows bypass the session caches entirely: the same full
        recompute the from-scratch evaluator does, so both paths agree bit
@@ -1901,12 +1911,7 @@ module Incr = struct
         ss.p_jig_dirty;
       (* specs: the persistent environment, repointed at the probe arrays;
          [measure_with] repoints every field again before any exact use *)
-      let cx = ss.spec_cx in
-      cx.cx_st <- st;
-      cx.cx_nv <- ss.p_nv;
-      cx.cx_ops <- ops_list;
-      cx.cx_node_leaving <- ss.p_cur;
-      cx.cx_roms <- roms;
+      repoint ss.spec_cx ~st ~nv:ss.p_nv ~ops:ops_list ~node_leaving:ss.p_cur ~roms;
       let senv = ss.spec_envv in
       let spec_values =
         List.mapi

@@ -91,22 +91,30 @@ let make_env (p : Problem.t) (st : State.t) =
     (* Exact-step transient of [tf] under the owning jig's .tran card,
        through the same shared stimulus helper the in-loop evaluator uses
        (Eval.transient_response) — the verification differs only in step
-       size (tr_dt, never the coarse tr_dtloop). *)
+       size (tr_dt, never the coarse tr_dtloop). Run once per tf and
+       environment, failure included: every row reading the tf shares it. *)
+    let simulate tfn =
+      let tc = Eval.tran_card_of p tfn in
+      let r, ports, t_step =
+        Eval.transient_response p ~value ~tf:tfn ~vstep:tc.Netlist.Ast.tr_vstep
+          ~tstop:tc.Netlist.Ast.tr_tstop ~dt:tc.Netlist.Ast.tr_dt
+      in
+      let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
+      (tc, r, v, t_step)
+    in
+    let trans = ref [] in
     let tran_of tfn =
-      match Eval.tran_card_of p tfn with
-      | exception Eval.Measurement_failed m -> raise (Sim_failed m)
-      | tc -> begin
-          match
-            Eval.transient_response p ~value ~tf:tfn ~vstep:tc.Netlist.Ast.tr_vstep
-              ~tstop:tc.Netlist.Ast.tr_tstop ~dt:tc.Netlist.Ast.tr_dt
-          with
-          | exception Eval.Measurement_failed m -> raise (Sim_failed m)
-          | r, ports, t_step ->
-              let v =
-                Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg
-              in
-              (tc, r, v, t_step)
-        end
+      let res =
+        match List.assoc_opt tfn !trans with
+        | Some res -> res
+        | None ->
+            let res =
+              match simulate tfn with w -> Ok w | exception Eval.Measurement_failed m -> Error m
+            in
+            trans := (tfn, res) :: !trans;
+            res
+      in
+      match res with Ok w -> w | Error m -> raise (Sim_failed m)
     in
     let settle_of tfn tol =
       let _, r, v, t_step = tran_of tfn in

@@ -14,6 +14,15 @@ exception Singular of int
     @raise Singular if the matrix is numerically singular. *)
 val factor : Mat.t -> t
 
+(** [factor_in_place a] is [factor a] without the copy: the factors are
+    written over [a], which the result keeps as its storage, so [a] must
+    not be read or written afterwards. Bit-identical to [factor]. For a
+    freshly assembled matrix that is never read again (a Newton
+    Jacobian). [a] is left partially overwritten when [Singular] is
+    raised.
+    @raise Singular if the matrix is numerically singular. *)
+val factor_in_place : Mat.t -> t
+
 (** [solve lu b] solves A x = b for the factored A. *)
 val solve : t -> Vec.t -> Vec.t
 

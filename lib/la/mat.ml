@@ -20,6 +20,7 @@ let get t i j = t.a.((i * t.n) + j)
 let set t i j v = t.a.((i * t.n) + j) <- v
 let add_to t i j v = t.a.((i * t.n) + j) <- t.a.((i * t.n) + j) +. v
 let copy t = { t with a = Array.copy t.a }
+let data t = t.a
 let fill t v = Array.fill t.a 0 (Array.length t.a) v
 let transpose t = init t.n t.m (fun i j -> get t j i)
 

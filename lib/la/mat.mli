@@ -20,6 +20,12 @@ val set : t -> int -> int -> float -> unit
 val add_to : t -> int -> int -> float -> unit
 
 val copy : t -> t
+
+(** [data a] is the row-major backing array of [a], shared, not copied:
+    entry (i, j) is [(data a).((i * cols a) + j)]. For inner loops that
+    must not box a float per access; writes through it mutate [a]. *)
+val data : t -> float array
+
 val fill : t -> float -> unit
 val transpose : t -> t
 val add : t -> t -> t

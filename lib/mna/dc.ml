@@ -206,7 +206,8 @@ let newton idx ~value ~registry ~gmin ~srcscale ~max_iter x =
     if it >= max_iter then (x, false, it)
     else begin
       let j, b = assemble idx ~value ~registry ~gmin ~srcscale x in
-      match La.Lu.factor j with
+      (* [j] is this iteration's own and is never read again. *)
+      match La.Lu.factor_in_place j with
       | exception La.Lu.Singular _ -> (x, false, it)
       | lu ->
           let xnew = La.Lu.solve lu b in

@@ -125,7 +125,8 @@ let step ~value ~registry ~h ~stimulus ~t circuit (xold : float array) ops_prev 
     else begin
       let j, b = Dc.assemble idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 x in
       stamp_caps idx ~value ~ops:ops_prev ~h xold j b;
-      match La.Lu.factor j with
+      (* [j] is this iteration's own and is never read again. *)
+      match La.Lu.factor_in_place j with
       | exception La.Lu.Singular _ -> Error "tran: singular Jacobian"
       | lu ->
           let xnew = La.Lu.solve lu b in

@@ -270,6 +270,54 @@ let test_batched_accepted_exact name =
   | Error (ms, _) ->
       Alcotest.failf "%s: %d accepted states do not re-evaluate exactly" name (List.length ms)
 
+(* The spec context memoizes each tf's transient until it is repointed.
+   One tran-buffer session is repointed by every path that can do so —
+   exact cost, probe screening, reset — between two states whose
+   transients differ; after every exact step the transient rows must
+   equal the full evaluator's for the state just evaluated, so a repoint
+   that kept the previous state's waveform shows as a mismatch. *)
+let test_transient_memo_not_stale () =
+  let name = "tran-buffer" in
+  let p = compile name in
+  let w = Core.Weights.create () in
+  let a = Core.State.snapshot p.Core.Problem.state0 in
+  let b = Core.State.snapshot a in
+  let ib =
+    let rec find i =
+      match b.Core.State.info.(i) with
+      | Core.State.User { name = "ib"; _ } -> i
+      | Core.State.User _ | Core.State.Node_voltage _ -> find (i + 1)
+    in
+    find 0
+  in
+  b.Core.State.values.(ib) <- Core.State.clamp b ib (4.0 *. b.Core.State.values.(ib));
+  let transient_rows (m : Core.Eval.measured) =
+    List.map (fun row -> List.assoc row m.Core.Eval.spec_values) [ "sr"; "ts" ]
+  in
+  let expect what st (m : Core.Eval.measured) =
+    List.iter2
+      (fun row (full, incr) ->
+        match (full, incr) with
+        | Some f, Some i -> check_bits name (what ^ ": " ^ row) f i
+        | None, None -> ()
+        | Some _, None | None, Some _ -> Alcotest.failf "%s: %s: presence differs" what row)
+      [ "sr"; "ts" ]
+      (List.combine (transient_rows (Core.Eval.measure p st)) (transient_rows m))
+  in
+  (* the two states must differ where it matters, or the test proves nothing *)
+  (match (transient_rows (Core.Eval.measure p a), transient_rows (Core.Eval.measure p b)) with
+  | Some sa :: _, Some sb :: _ ->
+      Alcotest.(check bool) "A and B slew differently" false (Float.equal sa sb)
+  | _ -> Alcotest.fail "slew_rate unmeasurable at A or B");
+  let ss = Core.Eval.Incr.create p in
+  let cost what st = expect what st (Core.Eval.Incr.cost ss w st).Core.Eval.measured in
+  cost "cost A" a;
+  ignore (Core.Eval.Incr.probe_cost ss w b);
+  cost "cost B after probe B" b;
+  cost "cost A" a;
+  Core.Eval.Incr.reset ss;
+  cost "cost B after reset" b
+
 let () =
   let walks =
     List.filter_map
@@ -292,6 +340,7 @@ let () =
           Alcotest.test_case "measure identical" `Quick test_measure_identical;
           Alcotest.test_case "invalidate recovers" `Quick test_invalidate_recovers;
           Alcotest.test_case "probe invalidate recovers" `Quick test_probe_invalidate_recovers;
+          Alcotest.test_case "transient memo not stale" `Quick test_transient_memo_not_stale;
         ] );
       ( "synthesis equivalence",
         [

@@ -112,6 +112,159 @@ let test_lu_det () =
   let b = La.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
   check_approx "perm det" (La.Lu.det (La.Lu.factor b)) (-1.0)
 
+(* Reference for bit identity: LU written with one [Mat.get]/[Mat.add_to]
+   call per flop, the formulation [La.Lu] used before it indexed the
+   backing array directly. Kept verbatim so the two can be compared bit
+   for bit; [factor] returns the factor matrix, pivot vector and sign. *)
+module Ref_lu = struct
+  exception Singular of int
+
+  let factor a =
+    let n = La.Mat.rows a in
+    let lu = La.Mat.copy a in
+    let piv = Array.init n (fun k -> k) in
+    let sign = ref 1.0 in
+    for k = 0 to n - 1 do
+      let p = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (La.Mat.get lu i k) > Float.abs (La.Mat.get lu !p k) then p := i
+      done;
+      if !p <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = La.Mat.get lu k j in
+          La.Mat.set lu k j (La.Mat.get lu !p j);
+          La.Mat.set lu !p j tmp
+        done;
+        let tp = piv.(k) in
+        piv.(k) <- piv.(!p);
+        piv.(!p) <- tp;
+        sign := -. !sign
+      end;
+      let pivot = La.Mat.get lu k k in
+      if Float.abs pivot < 1e-300 || not (Float.is_finite pivot) then raise (Singular k);
+      for i = k + 1 to n - 1 do
+        let f = La.Mat.get lu i k /. pivot in
+        La.Mat.set lu i k f;
+        if f <> 0.0 then
+          for j = k + 1 to n - 1 do
+            La.Mat.add_to lu i j (-.f *. La.Mat.get lu k j)
+          done
+      done
+    done;
+    (lu, piv, !sign)
+
+  let solve (lu, piv, _) b =
+    let n = La.Mat.rows lu in
+    let y = Array.init n (fun i -> b.(piv.(i))) in
+    for i = 0 to n - 1 do
+      for j = 0 to i - 1 do
+        y.(i) <- y.(i) -. (La.Mat.get lu i j *. y.(j))
+      done
+    done;
+    for i = n - 1 downto 0 do
+      for j = i + 1 to n - 1 do
+        y.(i) <- y.(i) -. (La.Mat.get lu i j *. y.(j))
+      done;
+      y.(i) <- y.(i) /. La.Mat.get lu i i
+    done;
+    y
+
+  let solve_transposed (lu, piv, _) b =
+    let n = La.Mat.rows lu in
+    let z = Array.copy b in
+    for i = 0 to n - 1 do
+      for j = 0 to i - 1 do
+        z.(i) <- z.(i) -. (La.Mat.get lu j i *. z.(j))
+      done;
+      z.(i) <- z.(i) /. La.Mat.get lu i i
+    done;
+    for i = n - 1 downto 0 do
+      for j = i + 1 to n - 1 do
+        z.(i) <- z.(i) -. (La.Mat.get lu j i *. z.(j))
+      done
+    done;
+    let x = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      x.(piv.(i)) <- z.(i)
+    done;
+    x
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_vec x y = Array.length x = Array.length y && Array.for_all2 same_bits x y
+
+(* Unscaled random entries (no diagonal boost) so partial pivoting swaps
+   rows; [zero_col] zeroes a column to force [Singular] at some step. *)
+let prop_lu_bit_identical =
+  QCheck.Test.make ~name:"lu: bit-identical to the accessor formulation" ~count:200
+    QCheck.(triple (int_range 1 14) (int_range 0 10000) (int_range (-6) 13))
+    (fun (n, seed, zero_col) ->
+      let rng = Random.State.make [| seed + 4242 |] in
+      let a = random_matrix rng n in
+      if zero_col >= 0 && zero_col < n then
+        for i = 0 to n - 1 do
+          La.Mat.set a i zero_col 0.0
+        done;
+      let a_before = La.Mat.copy a in
+      match Ref_lu.factor a with
+      | exception Ref_lu.Singular k -> begin
+          let raised f = match f () with _ -> None | exception La.Lu.Singular k' -> Some k' in
+          raised (fun () -> La.Lu.factor a) = Some k
+          && raised (fun () -> La.Lu.factor_in_place (La.Mat.copy a)) = Some k
+        end
+      | (ref_lu, _, ref_sign) as r ->
+          let lu = La.Lu.factor a in
+          (* [factor] leaves its argument alone *)
+          let untouched =
+            Array.for_all2 (Array.for_all2 same_bits) (La.Mat.to_arrays a)
+              (La.Mat.to_arrays a_before)
+          in
+          (* [factor_in_place] writes exactly the reference factors over its argument *)
+          let a_in = La.Mat.copy a in
+          let lu_in = La.Lu.factor_in_place a_in in
+          let in_place_factors =
+            Array.for_all2 (Array.for_all2 same_bits) (La.Mat.to_arrays a_in)
+              (La.Mat.to_arrays ref_lu)
+          in
+          (* the determinant folds the sign (pivot parity) into the diagonal *)
+          let ref_det = ref ref_sign in
+          for k = 0 to n - 1 do
+            ref_det := !ref_det *. La.Mat.get ref_lu k k
+          done;
+          let dets_match =
+            same_bits (La.Lu.det lu) !ref_det && same_bits (La.Lu.det lu_in) !ref_det
+          in
+          let solves_match =
+            List.for_all
+              (fun _ ->
+                let b = Array.init n (fun _ -> QCheck.Gen.float_range (-5.0) 5.0 rng) in
+                let x_ref = Ref_lu.solve r b and xt_ref = Ref_lu.solve_transposed r b in
+                same_vec (La.Lu.solve lu b) x_ref
+                && same_vec (La.Lu.solve lu_in b) x_ref
+                && same_vec (La.Lu.solve_transposed lu b) xt_ref
+                && same_vec (La.Lu.solve_transposed lu_in b) xt_ref)
+              [ 1; 2; 3 ]
+          in
+          untouched && in_place_factors && dets_match && solves_match)
+
+(* Host-independent allocation gate: factoring allocates the copy of the
+   matrix, the pivot vector and the result record — never a box per flop.
+   [Gc.allocated_bytes] counts the copy, which is large enough to be
+   allocated directly in the major heap. *)
+let test_lu_factor_allocation () =
+  let n = 24 in
+  let rng = Random.State.make [| 31 |] in
+  let a = random_matrix rng n in
+  ignore (La.Lu.factor a);
+  let before = Gc.allocated_bytes () in
+  let lu = La.Lu.factor a in
+  let after = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity lu);
+  let words = int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)) in
+  let bound = (n * n) + (8 * n) + 64 in
+  if words > bound then
+    Alcotest.failf "24x24 Lu.factor allocated %d words, bound n^2 + 8n + 64 = %d" words bound
+
 (* --- Complex --- *)
 
 let test_cpx () =
@@ -252,6 +405,8 @@ let () =
           Alcotest.test_case "singular" `Quick test_lu_singular;
           Alcotest.test_case "rcond degenerate reporting" `Quick test_lu_rcond;
           Alcotest.test_case "det" `Quick test_lu_det;
+          QCheck_alcotest.to_alcotest prop_lu_bit_identical;
+          Alcotest.test_case "factor allocation bound" `Quick test_lu_factor_allocation;
         ] );
       ("cpx", [ Alcotest.test_case "basics" `Quick test_cpx ]);
       ("zmat", [ Alcotest.test_case "solve" `Quick test_zmat_solve ]);

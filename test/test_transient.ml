@@ -252,6 +252,42 @@ let test_tran_card_parsed () =
       Alcotest.(check bool) "slow corner registry resolved" true
         (List.mem_assoc "slow" p.Core.Problem.corner_regs)
 
+(* --- Host-independent allocation gate --- *)
+
+let words_allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  let after = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity r);
+  (after -. before) /. float_of_int (Sys.word_size / 8)
+
+(* One exact evaluation of tran-buffer reads its transient through two
+   spec rows (slew_rate and settle over the same tf). It must simulate
+   that transient once: the whole evaluation, AWE and the corner row
+   included, allocates less than 1.5x one coarse-grid transient. *)
+let test_measure_runs_one_transient () =
+  let p =
+    match Core.Compile.compile_source tran_source with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "compile: %s" e
+  in
+  let st = p.Core.Problem.state0 in
+  let tc = Core.Eval.tran_card_of p "tf" in
+  let env = Core.Eval.value_env p st in
+  let transient () =
+    Core.Eval.transient_response p ~value:(Netlist.Expr.eval env) ~tf:"tf"
+      ~vstep:tc.Netlist.Ast.tr_vstep ~tstop:tc.Netlist.Ast.tr_tstop
+      ~dt:(Option.get tc.Netlist.Ast.tr_dtloop)
+  in
+  let measure () = Core.Eval.measure p st in
+  ignore (transient ());
+  ignore (measure ());
+  let w_tran = words_allocated transient in
+  let w_measure = words_allocated measure in
+  if not (w_measure < 1.5 *. w_tran) then
+    Alcotest.failf "Eval.measure allocated %.0f words, %.2fx one transient (%.0f); bound 1.5x"
+      w_measure (w_measure /. w_tran) w_tran
+
 (* --- End-to-end: transient-dominant synthesis, jobs=1 vs jobs=8 --- *)
 
 let test_tran_synthesis_determinism () =
@@ -315,6 +351,9 @@ let () =
           Alcotest.test_case "validation errors" `Quick test_card_validation;
           Alcotest.test_case "tran card fields" `Quick test_tran_card_parsed;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "measure runs one transient" `Quick test_measure_runs_one_transient ]
+      );
       ( "synthesis",
         [
           Alcotest.test_case "jobs determinism + exact verify" `Slow
