@@ -11,7 +11,7 @@
 (** [compute lin ~b ~sel ~count] returns the first [count] moments.
     A tiny diagonal regularization (1e-12 S) keeps G factorable when a node
     has no DC path (capacitor-only nodes).
-    @raise Failure if G is singular beyond that. *)
+    @raise La.Lu.Singular if G is singular beyond that. *)
 val compute : Mna.Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> count:int -> float array
 
 (** [factored lin] exposes the one-time factorization so callers evaluating
@@ -20,56 +20,3 @@ type factored
 
 val factor : Mna.Linearize.t -> factored
 val compute_with : factored -> b:La.Vec.t -> sel:La.Vec.t -> count:int -> float array
-
-(** {2 Moment-vector cache}
-
-    The incremental evaluator records the solution vectors r_k of the
-    exact moment recurrence per transfer function, then serves probe
-    evaluations from them: untouched systems reuse every vector,
-    capacitance-only moves keep r_0 and re-solve the tail, and
-    conductance moves solve through a Sherman-Morrison-Woodbury update
-    of the retained factorization ({!La.Lowrank}). *)
-
-type cache
-
-val cache_create : unit -> cache
-
-(** [cache_clear c] forgets the recorded vectors (e.g. after the exact
-    path failed and the cached state no longer matches). *)
-val cache_clear : cache -> unit
-
-(** [compute_record f cache ~b ~sel ~count] is bit-identical to
-    {!compute_with} (both run the same recurrence code) and additionally
-    records each solution vector plus [b] into [cache]. *)
-val compute_record :
-  factored -> cache -> b:La.Vec.t -> sel:La.Vec.t -> count:int -> float array
-
-(** {2 Low-rank probe updates} *)
-
-type update
-
-(** [prepare_update fac ~g_old ~g_new ~c_old ~c_new] diffs the stamped
-    matrices bitwise and prepares a probe solver for the perturbed
-    system: the retained factorization itself when no conductance column
-    moved, otherwise an SMW update over the changed columns (the 1e-12
-    regularization cancels in the delta). [Error] means the update is
-    numerically unsafe (ill-conditioned capacitance matrix or growth
-    bound) and the caller must factor fresh. *)
-val prepare_update :
-  ?rcond_min:float -> ?growth_max:float -> factored -> g_old:La.Mat.t ->
-  g_new:La.Mat.t -> c_old:La.Mat.t -> c_new:La.Mat.t -> (update, string) result
-
-(** [update_rank u] is the rank of the conductance delta (0 = G untouched). *)
-val update_rank : update -> int
-
-(** [compute_probe u cache ~b ~sel ~count] computes screening moments for
-    the perturbed system, reading (never writing) [cache]:
-    [`Reused] — rank 0, C unchanged, cached excitation matches: dot
-    products against the recorded vectors only; [`Refreshed] — rank 0
-    with C changed: r_0 reused, tail re-solved; [`Updated] — SMW (or
-    excitation-changed) solves throughout. Probe moments are approximate
-    by design; only the confirm path's exact recompute feeds accepted
-    costs. *)
-val compute_probe :
-  update -> cache -> b:La.Vec.t -> sel:La.Vec.t -> count:int ->
-  float array * [ `Reused | `Refreshed | `Updated ]

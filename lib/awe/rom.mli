@@ -21,8 +21,8 @@ val build_with :
   ?qmax:int -> Moments.factored -> b:La.Vec.t -> sel:La.Vec.t -> (t, string) result
 
 (** [of_moments moments] runs the order-descent fit on already-computed
-    moments — the entry point for the incremental path, which refreshes
-    moment vectors cheaply and only then fits. [moments] must hold at
+    moments, for callers that time or reuse the moment recurrence apart
+    from the fit. [moments] must hold at
     least [2*qmax + 2] entries. [build_with] is exactly
     [of_moments (Moments.compute_with ...)], so the two stay bit-identical
     by construction. *)

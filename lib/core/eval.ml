@@ -247,24 +247,34 @@ let static_power_parts (p : Problem.t) (st : State.t) ~(nv : float array)
           acc)
     0.0 p.Problem.bias.Netlist.Circuit.elements
 
-let roms_for_jig ~value ~ops (j : Problem.jig) =
-  match Mna.Linearize.build ~value ~ops j.Problem.jig_circuit with
-  | lin ->
-      let fac = Awe.Moments.factor lin in
+(* One jig's ROM list: stamp, factor, then fit every transfer function
+   at Padé order [qmax] down. The exact evaluators (full and incremental)
+   take the default order; candidate screening passes a lower one. A jig
+   that cannot be stamped or factored (an element-value expression that
+   fails, a singular system) fails each of its transfer functions as a
+   measurement instead of raising into the annealing loop. *)
+let roms_for_jig ?qmax ~value ~ops (j : Problem.jig) =
+  let fail m = List.map (fun (tfname, _) -> (tfname, Error m)) j.Problem.tfs in
+  match
+    let lin = Mna.Linearize.build ~value ~ops j.Problem.jig_circuit in
+    (lin, Awe.Moments.factor lin)
+  with
+  | exception (Failure m | Netlist.Expr.Eval_error m) -> fail m
+  | exception La.Lu.Singular _ -> fail "singular AWE system"
+  | lin, fac ->
       List.map
         (fun (tfname, (tf : Problem.tf)) ->
           let rom =
             try
               let b = Mna.Linearize.excitation_of lin ~src:tf.src in
               let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-              Awe.Rom.build_with fac ~b ~sel
+              Awe.Rom.build_with ?qmax fac ~b ~sel
             with
             | Failure m -> Error m
             | La.Lu.Singular _ -> Error "singular AWE system"
           in
           (tfname, rom))
         j.Problem.tfs
-  | exception Failure m -> List.map (fun (tfname, _) -> (tfname, Error m)) j.Problem.tfs
 
 let build_roms (p : Problem.t) (st : State.t) (bp : bias_point) =
   let env = value_env p st in
@@ -776,8 +786,6 @@ module Incr = struct
     probes : int;
     probe_rom_builds : int;
     probe_fallbacks : int;
-    mom_reuses : int;
-    mom_refreshes : int;
     dirty_hist : int array;
     by_class : class_row list;
   }
@@ -852,13 +860,6 @@ module Incr = struct
     residuals : float array;
     res_scale : float array;
     mutable ops_list : (string * Mna.Dc.op_info) list;  (* element order *)
-    (* Probe-path retention: the stamped linear system, its factorization
-       and the per-tf moment vectors of the last exact build of each jig,
-       kept so candidate screening can restamp against the retained layout
-       and solve through a low-rank update instead of factoring fresh. *)
-    jig_lin : Mna.Linearize.t option array;
-    jig_fac : Awe.Moments.factored option array;
-    jig_mom : Awe.Moments.cache array array;  (* per jig, per tf *)
     (* Probe scratch: candidate screening writes here, never into the
        exact caches above, so an arbitrary number of probes can run
        between two exact evaluations without perturbing them. *)
@@ -890,9 +891,6 @@ module Incr = struct
     mutable c_mismatches : int;
     mutable c_probes : int;
     mutable c_probe_rom_builds : int;
-    mutable c_probe_fallbacks : int;
-    mutable c_mom_reuses : int;
-    mutable c_mom_refreshes : int;
     hist : int array;
     by_class : (string, counters) Hashtbl.t;
   }
@@ -1005,14 +1003,6 @@ module Incr = struct
       residuals = Array.make p.Problem.tl.Treelink.n_free 0.0;
       res_scale = Array.make p.Problem.tl.Treelink.n_free 0.0;
       ops_list = [];
-      jig_lin = Array.make n_jigs None;
-      jig_fac = Array.make n_jigs None;
-      jig_mom =
-        Array.of_list
-          (List.map
-             (fun (j : Problem.jig) ->
-               Array.init (List.length j.Problem.tfs) (fun _ -> Awe.Moments.cache_create ()))
-             p.Problem.jigs);
       p_nv = Array.make n_nodes 0.0;
       p_cur = Array.make n_nodes 0.0;
       p_mag = Array.make n_nodes 0.0;
@@ -1040,9 +1030,6 @@ module Incr = struct
       c_mismatches = 0;
       c_probes = 0;
       c_probe_rom_builds = 0;
-      c_probe_fallbacks = 0;
-      c_mom_reuses = 0;
-      c_mom_refreshes = 0;
       hist = Array.make 9 0;
       by_class = Hashtbl.create 8;
     }
@@ -1094,12 +1081,6 @@ module Incr = struct
     ss.c_mismatches <- 0;
     ss.c_probes <- 0;
     ss.c_probe_rom_builds <- 0;
-    ss.c_probe_fallbacks <- 0;
-    ss.c_mom_reuses <- 0;
-    ss.c_mom_refreshes <- 0;
-    Array.fill ss.jig_lin 0 (Array.length ss.jig_lin) None;
-    Array.fill ss.jig_fac 0 (Array.length ss.jig_fac) None;
-    Array.iter (Array.iter Awe.Moments.cache_clear) ss.jig_mom;
     Array.fill ss.hist 0 (Array.length ss.hist) 0;
     Hashtbl.reset ss.by_class
 
@@ -1303,43 +1284,6 @@ module Incr = struct
       end
     end
 
-  (* Exact rebuild of one jig's ROM list: the same arithmetic and error
-     shape as [roms_for_jig] ([Rom.build_with] is [Moments.compute_with]
-     followed by [Rom.of_moments], and [compute_record] shares the
-     recurrence code with [compute_with] bit for bit) — but it retains
-     the stamped system, its factorization and the per-tf moment vectors
-     for the probe path. *)
-  let exact_count = (2 * 6) + 2 (* matches [Rom.build_with]'s default qmax *)
-
-  let rebuild_jig_exact ss j ~value ~ops (jig : Problem.jig) =
-    let caches = ss.jig_mom.(j) in
-    (* Recorded vectors belong to the system about to be replaced; a tf
-       that fails below must not leave them to be served by a probe. *)
-    Array.iter Awe.Moments.cache_clear caches;
-    match Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit with
-    | exception Failure m ->
-        ss.jig_lin.(j) <- None;
-        ss.jig_fac.(j) <- None;
-        List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
-    | lin ->
-        let fac = Awe.Moments.factor lin in
-        ss.jig_lin.(j) <- Some lin;
-        ss.jig_fac.(j) <- Some fac;
-        List.mapi
-          (fun ti (tfname, (tf : Problem.tf)) ->
-            let rom =
-              try
-                let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-                let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-                let m = Awe.Moments.compute_record fac caches.(ti) ~b ~sel ~count:exact_count in
-                Awe.Rom.of_moments m
-              with
-              | Failure m -> Error m
-              | La.Lu.Singular _ -> Error "singular AWE system"
-            in
-            (tfname, rom))
-          jig.Problem.tfs
-
   (* Bring the bias slice (node voltages, element flows and operating
      points, KCL residuals) up to date with [st], marking dependent jigs
      and specs stale along the way. *)
@@ -1480,7 +1424,7 @@ module Incr = struct
        List.iteri
          (fun j jig ->
            if not ss.jig_valid.(j) then begin
-             ss.jig_roms.(j) <- rebuild_jig_exact ss j ~value ~ops jig;
+             ss.jig_roms.(j) <- roms_for_jig ~value ~ops jig;
              ss.jig_vals.(j) <-
                Array.of_list
                  (List.map
@@ -1709,93 +1653,15 @@ module Incr = struct
 
   (* Probe ROMs fit at a reduced order: half the moments of the exact
      path is plenty to rank candidates, and the cost of the recurrence is
-     linear in the moment count. *)
+     linear in the moment count. A touched jig is restamped and factored
+     fresh: on these 10-40-row systems one LU costs less than updating a
+     retained factorization would. *)
   let probe_qmax = 3
-  let probe_count = (2 * probe_qmax) + 2
-
-  (* Fresh probe-side fit when no retained factorization serves (the jig
-     never built exactly, or the low-rank guard refused the update). *)
-  let probe_jig_fresh (jig : Problem.jig) ~value ~ops =
-    match Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit with
-    | exception Failure m -> List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
-    | lin -> begin
-        match Awe.Moments.factor lin with
-        | exception La.Lu.Singular _ ->
-            List.map (fun (tfname, _) -> (tfname, Error "singular AWE system")) jig.Problem.tfs
-        | fac ->
-            List.map
-              (fun (tfname, (tf : Problem.tf)) ->
-                let rom =
-                  try
-                    let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-                    let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-                    Awe.Rom.build_with ~qmax:probe_qmax fac ~b ~sel
-                  with
-                  | Failure m -> Error m
-                  | La.Lu.Singular _ -> Error "singular AWE system"
-                in
-                (tfname, rom))
-              jig.Problem.tfs
-      end
-
-  (* Probe ROM list of one touched jig: restamp against the retained
-     layout, diff the matrices bitwise, and solve the moment recurrence
-     through the retained factorization plus a low-rank update — falling
-     back to a fresh (still reduced-order) factorization when the guard
-     refuses. *)
-  let probe_jig_roms ss j (jig : Problem.jig) ~value ~ops =
-    ss.c_probe_rom_builds <- ss.c_probe_rom_builds + 1;
-    match (ss.jig_lin.(j), ss.jig_fac.(j)) with
-    | Some lin_old, Some fac -> begin
-        match
-          Mna.Linearize.stamp_reuse ~idx:lin_old.Mna.Linearize.idx ~value ~ops
-            jig.Problem.jig_circuit
-        with
-        | exception Failure m -> List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
-        | lin_new -> begin
-            match
-              Awe.Moments.prepare_update fac ~g_old:lin_old.Mna.Linearize.g
-                ~g_new:lin_new.Mna.Linearize.g ~c_old:lin_old.Mna.Linearize.c
-                ~c_new:lin_new.Mna.Linearize.c
-            with
-            | Ok u ->
-                let caches = ss.jig_mom.(j) in
-                List.mapi
-                  (fun ti (tfname, (tf : Problem.tf)) ->
-                    let rom =
-                      try
-                        let b = Mna.Linearize.excitation_of lin_new ~src:tf.src in
-                        let sel =
-                          Mna.Linearize.output_vector lin_new ~pos:tf.out_pos ~neg:tf.out_neg
-                        in
-                        let m, kind =
-                          Awe.Moments.compute_probe u caches.(ti) ~b ~sel ~count:probe_count
-                        in
-                        (match kind with
-                        | `Reused -> ss.c_mom_reuses <- ss.c_mom_reuses + 1
-                        | `Refreshed -> ss.c_mom_refreshes <- ss.c_mom_refreshes + 1
-                        | `Updated -> ());
-                        Awe.Rom.of_moments ~qmax:probe_qmax m
-                      with
-                      | Failure m -> Error m
-                      | La.Lu.Singular _ -> Error "singular AWE system"
-                    in
-                    (tfname, rom))
-                  jig.Problem.tfs
-            | Error _ ->
-                ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
-                probe_jig_fresh jig ~value ~ops
-          end
-      end
-    | _ ->
-        ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
-        probe_jig_fresh jig ~value ~ops
 
   (* Screening cost of a candidate state: approximate by design (probe
-     ROMs are reduced-order and solved through low-rank updates), cheap by
-     construction (only the slice a candidate touches is recomputed, into
-     the p_* scratch arrays). Nothing the probe writes is read by the
-     exact path: the only shared mutable structures it touches are the
+     ROMs are reduced-order), cheap by construction (only the slice a
+     candidate touches is recomputed, into the p_* scratch arrays).
+     Nothing the probe writes is read by the exact path: the only shared mutable structures it touches are the
      operating-point memo (pure function of key bits) and the probe
      counters. The annealer uses this to rank candidates; the winner is
      confirmed through [cost], which alone feeds accepted state. *)
@@ -1900,7 +1766,10 @@ module Incr = struct
         List.concat
           (List.mapi
              (fun j jig ->
-               if ss.p_jig_dirty.(j) || not ss.jig_valid.(j) then probe_jig_roms ss j jig ~value ~ops
+               if ss.p_jig_dirty.(j) || not ss.jig_valid.(j) then begin
+                 ss.c_probe_rom_builds <- ss.c_probe_rom_builds + 1;
+                 roms_for_jig ~qmax:probe_qmax ~value ~ops jig
+               end
                else ss.jig_roms.(j))
              p.Problem.jigs)
       in
@@ -1973,9 +1842,7 @@ module Incr = struct
       resync_mismatches = ss.c_mismatches;
       probes = ss.c_probes;
       probe_rom_builds = ss.c_probe_rom_builds;
-      probe_fallbacks = ss.c_probe_fallbacks;
-      mom_reuses = ss.c_mom_reuses;
-      mom_refreshes = ss.c_mom_refreshes;
+      probe_fallbacks = ss.c_probe_rom_builds;
       dirty_hist = Array.copy ss.hist;
       by_class;
     }

@@ -164,10 +164,8 @@ module Incr : sig
     probes : int;  (** candidate screenings served by [probe_cost] *)
     probe_rom_builds : int;  (** touched jigs refit on the probe path *)
     probe_fallbacks : int;
-        (** probe refits that factored fresh: no retained system, or the
-            low-rank guard refused the update *)
-    mom_reuses : int;  (** probe tfs served entirely from recorded vectors *)
-    mom_refreshes : int;  (** probe tfs that re-solved only the C-moved tail *)
+        (** always equal to [probe_rom_builds]: every probe refit factors
+            fresh. Kept only for existing readers of this record. *)
     dirty_hist : int array;
         (** histogram of dirty-variable counts per incremental eval;
             last bucket accumulates everything >= its index *)
@@ -200,16 +198,15 @@ module Incr : sig
   val cost_scalar : session -> Weights.t -> State.t -> float
 
   (** [probe_cost ss w st] screens a candidate state: an approximate
-      total cost computed against the session's retained caches — jig
-      systems restamped on the retained layout and solved through
-      low-rank (Sherman-Morrison-Woodbury) updates of the retained
-      factorization at reduced moment order, recorded moment vectors
-      served where the system is bitwise untouched, element flows and
-      specs recomputed only where the candidate reaches through the
-      depgraph. Probing never writes the exact caches: any number of
-      probes may run between two exact evaluations without changing
-      what [cost] returns. Accepted states must be confirmed through
-      {!cost}, which is what the annealer's batched screening does. *)
+      total cost computed against the session's retained caches — each
+      jig the candidate touches restamped, factored fresh and fitted at
+      reduced Padé order (3 instead of 6), untouched jigs served from the
+      cached exact ROMs, element flows and specs recomputed only where
+      the candidate reaches through the depgraph. Probing never writes
+      the exact caches: any number of probes may run between two exact
+      evaluations without changing what [cost] returns. Accepted states
+      must be confirmed through {!cost}, which is what the annealer's
+      batched screening does. *)
   val probe_cost : session -> Weights.t -> State.t -> float
 
   (** Bit-identical to [Eval.residuals_quick p st], but served from the

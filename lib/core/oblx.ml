@@ -145,9 +145,6 @@ let synthesize ?(seed = 1) ?rng ?moves ?(incremental = true)
                resync_mismatches = es.Eval.Incr.resync_mismatches;
                probes = es.Eval.Incr.probes;
                probe_rom_builds = es.Eval.Incr.probe_rom_builds;
-               probe_fallbacks = es.Eval.Incr.probe_fallbacks;
-               mom_reuses = es.Eval.Incr.mom_reuses;
-               mom_refreshes = es.Eval.Incr.mom_refreshes;
                per_class =
                  List.map
                    (fun (c : Eval.Incr.class_row) ->
@@ -216,8 +213,8 @@ let synthesize ?(seed = 1) ?rng ?moves ?(incremental = true)
          session — without one there is no cheap probe, so the full
          evaluator keeps its one-candidate-per-move behavior. Screens are
          not counted in [evals]/[eval_clock]: those meter exact
-         evaluations, and the probe/refresh counters in [Eval.Incr.stats]
-         meter the screening work. *)
+         evaluations, and the probe counters in [Eval.Incr.stats] meter
+         the screening work. *)
       batch =
         (match session with
         | Some ss when probe_batch > 1 ->

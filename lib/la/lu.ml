@@ -115,17 +115,3 @@ let det t =
     d := !d *. Mat.get t.lu k k
   done;
   !d
-
-let rcond_estimate t a =
-  let n = dim t in
-  if n = 0 then 1.0
-  else begin
-    let e = Array.init n (fun i -> if i land 1 = 0 then 1.0 else -1.0) in
-    let x = solve t e in
-    let nx = Vec.norm_inf x in
-    let na = Mat.norm_inf a in
-    (* A vanishing solve norm or matrix norm is a singular-direction hit,
-       not a well-conditioned system: report 0.0, the worst conditioning,
-       so callers treat it as trouble. *)
-    if nx = 0.0 || na = 0.0 then 0.0 else 1.0 /. (na *. nx)
-  end

@@ -33,18 +33,5 @@ val solve_in_place : t -> Vec.t -> unit
 (** [solve_transposed lu b] solves A^T x = b (used for adjoint sensitivity). *)
 val solve_transposed : t -> Vec.t -> Vec.t
 
-(** [solve_transposed_in_place lu b] overwrites [b] with the solution of
-    A^T x = b, avoiding the allocation in the low-rank capacitance loop. *)
-val solve_transposed_in_place : t -> Vec.t -> unit
-
 (** [det lu] is the determinant of the factored matrix. *)
 val det : t -> float
-
-(** [rcond_estimate lu a] is a cheap reciprocal-condition estimate in the
-    infinity norm (1 / (||A|| * ||A^-1 e||) for a probing vector e). Values
-    near 0 flag ill-conditioning; a singular-direction hit (zero solve or
-    matrix norm) reports exactly 0.0. *)
-val rcond_estimate : t -> Mat.t -> float
-
-(** [dim lu] is the order of the factored matrix. *)
-val dim : t -> int

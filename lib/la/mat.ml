@@ -55,17 +55,6 @@ let mul_vec t x =
       done;
       !s)
 
-let norm_inf t =
-  let best = ref 0.0 in
-  for i = 0 to t.m - 1 do
-    let s = ref 0.0 in
-    for j = 0 to t.n - 1 do
-      s := !s +. Float.abs (get t i j)
-    done;
-    if !s > !best then best := !s
-  done;
-  !best
-
 let of_arrays rows_ =
   let m = Array.length rows_ in
   if m = 0 then create 0 0

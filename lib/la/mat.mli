@@ -38,9 +38,6 @@ val mul : t -> t -> t
 (** [mul_vec a x] is [a * x]. *)
 val mul_vec : t -> Vec.t -> Vec.t
 
-(** [norm_inf a] is the max row-sum norm. *)
-val norm_inf : t -> float
-
 (** [of_arrays rows] builds a matrix from row arrays of equal length. *)
 val of_arrays : float array array -> t
 

@@ -1,8 +1,7 @@
 type t = { idx : Sysmat.t; g : La.Mat.t; c : La.Mat.t; b : La.Vec.t }
 
-(* Stamp every element of [circuit]; when [only_src] is given, AC
-   excitations are taken from that source alone with unit magnitude. *)
-let stamp_into idx ~value ~ops ?only_src circuit =
+let build ~value ~ops circuit =
+  let idx = Sysmat.of_circuit circuit in
   let n = idx.Sysmat.size in
   let g = La.Mat.create n n in
   let c = La.Mat.create n n in
@@ -23,7 +22,6 @@ let stamp_into idx ~value ~ops ?only_src circuit =
       La.Mat.add_to c j i (-.cv)
     end
   in
-  let ac_of name ac = match only_src with Some s when s <> name -> 0.0 | Some _ | None -> ac in
   let handle (e : Netlist.Circuit.element) =
     match e with
     | Netlist.Circuit.Resistor { name; n1; n2; value = ve } ->
@@ -44,11 +42,10 @@ let stamp_into idx ~value ~ops ?only_src circuit =
         add_g row (nrow nn) (-1.0);
         add_g (nrow np) row 1.0;
         add_g (nrow nn) row (-1.0);
-        Sysmat.add_vec row (ac_of name ac) b
-    | Netlist.Circuit.Isource { name; np; nn; ac; _ } ->
-        let i = ac_of name ac in
-        Sysmat.add_vec (nrow np) (-.i) b;
-        Sysmat.add_vec (nrow nn) i b
+        Sysmat.add_vec row ac b
+    | Netlist.Circuit.Isource { np; nn; ac; _ } ->
+        Sysmat.add_vec (nrow np) (-.ac) b;
+        Sysmat.add_vec (nrow nn) ac b
     | Netlist.Circuit.Vcvs { name; np; nn; ncp; ncn; gain } ->
         let row = brow name in
         let gv = value gain in
@@ -106,18 +103,6 @@ let stamp_into idx ~value ~ops ?only_src circuit =
   in
   Array.iter handle circuit.Netlist.Circuit.elements;
   { idx; g; c; b }
-
-let stamp ~value ~ops ?only_src circuit =
-  stamp_into (Sysmat.of_circuit circuit) ~value ~ops ?only_src circuit
-
-(* [Sysmat.of_circuit] depends only on element kinds, names and node
-   connectivity — never on values or operating points — so the layout of a
-   jig circuit is reusable across every annealing move: the incremental
-   probe path restamps thousands of times per layout. *)
-let stamp_reuse ~idx ~value ~ops ?only_src circuit =
-  stamp_into idx ~value ~ops ?only_src circuit
-
-let build ~value ~ops circuit = stamp ~value ~ops circuit
 
 let output_vector t ~pos ~neg =
   let sel = La.Vec.create t.idx.Sysmat.size in

@@ -91,7 +91,7 @@ let walk_case name =
 
 (* Batched screening must probe without perturbing: a fuzz walk that
    screens k candidate perturbations per step with [probe_cost] (the
-   approximate low-rank path) and then confirms the chosen one exactly
+   approximate reduced-order path) and then confirms the chosen one exactly
    must leave [Incr.cost] bit-identical to the full evaluator at every
    confirmation — probing never writes the exact caches. *)
 let probe_walk ?(moves = 400) name =
@@ -101,7 +101,7 @@ let probe_walk ?(moves = 400) name =
   let w = Core.Weights.create () in
   let ss = Core.Eval.Incr.create p in
   let n = Core.State.n_vars st in
-  (* prime the session: probing needs retained factorizations *)
+  (* prime the session: probing screens against its cached state *)
   ignore (Core.Eval.Incr.cost ss w st);
   for _step = 1 to moves do
     let base = Core.State.snapshot st in
@@ -184,10 +184,9 @@ let test_invalidate_recovers () =
   let s = Core.Eval.Incr.stats ss in
   Alcotest.(check int) "both were full evals" 2 s.Core.Eval.Incr.full_evals
 
-(* Same recovery story for the probe-side retention (factorizations and
-   recorded moment vectors): poisoning the session must not leave stale
-   moment caches behind — the next exact eval rebuilds them, and probing
-   keeps screening against fresh retained state. *)
+(* Same recovery story with probes in the mix: poisoning the session must
+   not leave stale state behind for the screen — the next exact eval
+   rebuilds every cache, and the same candidate screens to the same bits. *)
 let test_probe_invalidate_recovers () =
   let p = compile "simple-ota" in
   let st = Core.State.snapshot p.Core.Problem.state0 in
@@ -204,7 +203,7 @@ let test_probe_invalidate_recovers () =
   (* recovery: full re-eval repopulates every cache, bit-identically *)
   let b = Core.Eval.Incr.cost ss w st in
   check_breakdown "simple-ota" full b;
-  (* and the rebuilt moment caches serve the same screen again *)
+  (* and the rebuilt caches serve the same screen again *)
   perturb ();
   let pc2 = Core.Eval.Incr.probe_cost ss w st in
   check_bits "simple-ota" "probe cost across invalidate" pc1 pc2;
@@ -318,6 +317,29 @@ let test_transient_memo_not_stale () =
   Core.Eval.Incr.reset ss;
   cost "cost B after reset" b
 
+(* Screening pays only while a screen costs less than the exact
+   evaluation it stands in for. Counted in minor-heap words, which do not
+   depend on the host: a primed session, variable 0 scaled by 5%, and the
+   second probe of that candidate (the first one warms the device memo),
+   against the full evaluator on the same candidate. *)
+let test_screen_cheaper name =
+  let p = compile name in
+  let w = Core.Weights.create () in
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let ss = Core.Eval.Incr.create p in
+  ignore (Core.Eval.Incr.cost ss w st);
+  st.Core.State.values.(0) <- Core.State.clamp st 0 (st.Core.State.values.(0) *. 1.05);
+  ignore (Core.Eval.Incr.probe_cost ss w st);
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let probe = words (fun () -> Core.Eval.Incr.probe_cost ss w st) in
+  let full = words (fun () -> (Core.Eval.cost p w st).Core.Eval.total) in
+  if not (probe < full) then
+    Alcotest.failf "%s: probe_cost allocates %.0f words, Eval.cost %.0f" name probe full
+
 let () =
   let walks =
     List.filter_map
@@ -342,6 +364,12 @@ let () =
           Alcotest.test_case "probe invalidate recovers" `Quick test_probe_invalidate_recovers;
           Alcotest.test_case "transient memo not stale" `Quick test_transient_memo_not_stale;
         ] );
+      ( "screen cost",
+        List.map
+          (fun name ->
+            Alcotest.test_case ("cheaper than full eval " ^ name) `Quick (fun () ->
+                test_screen_cheaper name))
+          [ "simple-ota"; "two-stage"; "folded-cascode"; "tran-buffer" ] );
       ( "synthesis equivalence",
         [
           Alcotest.test_case "simple-ota" `Slow (fun () ->

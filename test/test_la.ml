@@ -85,26 +85,6 @@ let test_lu_singular () =
   | exception La.Lu.Singular _ -> ()
   | _ -> Alcotest.fail "expected Singular"
 
-let test_lu_rcond () =
-  (* Well-conditioned: the identity reports a reciprocal condition in (0, 1]. *)
-  let i4 = La.Mat.identity 4 in
-  let lu_i = La.Lu.factor i4 in
-  let rc_i = La.Lu.rcond_estimate lu_i i4 in
-  Alcotest.(check bool) "identity rcond positive" true (rc_i > 0.0 && rc_i <= 1.0);
-  (* Near-singular: a tiny-pivot direction must report a tiny estimate. *)
-  let ns = La.Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 1e-12 |] |] in
-  let rc_ns = La.Lu.rcond_estimate (La.Lu.factor ns) ns in
-  Alcotest.(check bool) "near-singular rcond tiny" true (rc_ns > 0.0 && rc_ns < 1e-10);
-  (* Degenerate-norm regression: a zero matrix norm (or a zero solve norm,
-     unreachable through factor/solve since the probe entries are +-1) is a
-     singular-direction hit and must report 0.0 — the worst conditioning —
-     not the old 1.0 (the best). *)
-  Alcotest.(check (float 0.0)) "degenerate norm reports 0" 0.0
-    (La.Lu.rcond_estimate lu_i (La.Mat.create 4 4));
-  (* Empty system stays perfectly conditioned by convention. *)
-  let e = La.Mat.create 0 0 in
-  Alcotest.(check (float 0.0)) "empty matrix" 1.0 (La.Lu.rcond_estimate (La.Lu.factor e) e)
-
 let test_lu_det () =
   let a = La.Mat.of_arrays [| [| 2.0; 0.0 |]; [| 1.0; 3.0 |] |] in
   check_approx "det" (La.Lu.det (La.Lu.factor a)) 6.0;
@@ -403,7 +383,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_lu_solve;
           QCheck_alcotest.to_alcotest prop_lu_transposed;
           Alcotest.test_case "singular" `Quick test_lu_singular;
-          Alcotest.test_case "rcond degenerate reporting" `Quick test_lu_rcond;
           Alcotest.test_case "det" `Quick test_lu_det;
           QCheck_alcotest.to_alcotest prop_lu_bit_identical;
           Alcotest.test_case "factor allocation bound" `Quick test_lu_factor_allocation;

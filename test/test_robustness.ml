@@ -123,6 +123,46 @@ let test_transient_slew_cross_check () =
       if ratio < 0.3 || ratio > 3.0 then
         Alcotest.failf "slew mismatch: expr %g vs transient %g" sr_expr sr_tran
 
+(* A jig-only element whose value expression cannot be evaluated (0/0)
+   must fail the jig's transfer functions as measurements, never raise out
+   of the evaluator: both evaluators price the penalty identically, and
+   the annealer runs to completion. *)
+let poisoned_simple_ota () =
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec find i =
+      if i + n > String.length s then Alcotest.failf "netlist fragment %S not found" sub
+      else if String.sub s i n = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  let src =
+    Suite.Simple_ota.source
+    |> replace ~sub:".param cl=1p\n" ~by:".param cl=1p\n.param rzero=0\n"
+    |> replace ~sub:".pz tf v(out) vin\n" ~by:"rz out 0 'rzero/rzero'\n.pz tf v(out) vin\n"
+  in
+  match Core.Compile.compile_source src with Ok p -> p | Error e -> Alcotest.fail e
+
+let test_jig_expression_error () =
+  let p = poisoned_simple_ota () in
+  let w = Core.Weights.create () in
+  let ss = Core.Eval.Incr.create p in
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let check what =
+    let full = (Core.Eval.cost p w st).Core.Eval.total in
+    let incr = (Core.Eval.Incr.cost ss w st).Core.Eval.total in
+    if not (Float.is_finite full) then Alcotest.failf "%s: full cost %g" what full;
+    if not (Int64.equal (Int64.bits_of_float full) (Int64.bits_of_float incr)) then
+      Alcotest.failf "%s: full %h vs incremental %h" what full incr
+  in
+  check "state0";
+  st.Core.State.values.(0) <- Core.State.clamp st 0 (st.Core.State.values.(0) *. 1.05);
+  check "moved";
+  let r = Core.Oblx.synthesize ~seed:3 ~moves:200 p in
+  if Float.is_nan r.Core.Oblx.best_cost then Alcotest.fail "synthesis returned a NaN cost"
+
 let () =
   Alcotest.run "robustness"
     [
@@ -133,4 +173,9 @@ let () =
         ] );
       ("sensitivity", [ Alcotest.test_case "shapes and signs" `Slow test_sensitivity_shapes ]);
       ("slew", [ Alcotest.test_case "expression vs transient" `Slow test_transient_slew_cross_check ]);
+      ( "failures",
+        [
+          Alcotest.test_case "jig expression error is a failed measurement" `Quick
+            test_jig_expression_error;
+        ] );
     ]
