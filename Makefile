@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke test-stress clean
+.PHONY: all build test golden-check bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke test-stress clean
 
 # One UTC stamp per make invocation; every bench target passes it down so
 # each artifact lands both at <name>-latest.json and as an immutable
@@ -14,6 +14,25 @@ build:
 
 test:
 	dune runtest
+
+# Regenerate the golden trace and require it byte-identical to the
+# committed test/golden/simple_ota.jsonl: the bit-for-bit check behind
+# "incremental = full" refactors of the evaluator. Not a CI gate: the
+# golden test itself compares with a 1e-9 tolerance because another
+# build's libm may differ in the last bit.
+golden-check:
+	@dune build ./test/gen_golden.exe
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	./_build/default/test/gen_golden.exe "$$tmp" >/dev/null; \
+	if cmp -s "$$tmp" test/golden/simple_ota.jsonl; then \
+	  echo "golden-check: trace byte-identical"; \
+	else \
+	  line=$$(cmp "$$tmp" test/golden/simple_ota.jsonl | sed -n 's/.* line \([0-9]*\).*/\1/p'); \
+	  echo "golden-check: trace differs at line $${line:-?}"; \
+	  echo "  committed:   $$(sed -n "$${line:-1}p" test/golden/simple_ota.jsonl)"; \
+	  echo "  regenerated: $$(sed -n "$${line:-1}p" "$$tmp")"; \
+	  exit 1; \
+	fi
 
 # Every paper table/figure (~15 min).
 bench:

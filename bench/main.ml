@@ -501,13 +501,14 @@ let json_escape s =
        (List.init (String.length s) (String.get s)))
 
 (* Every perf artifact carries the same [baseline] block so results from
-   different hosts / configurations are comparable at a glance. *)
-let baseline_json ~jobs ~eval_mode =
+   different hosts / configurations are comparable at a glance. Evaluation
+   is always incremental; [eval_mode] stays so older artifacts compare. *)
+let baseline_json ~jobs =
   Obs.Json.Obj
     [
       ("host", Obs.Json.Str (Unix.gethostname ()));
       ("jobs", Obs.Json.Num (float_of_int jobs));
-      ("eval_mode", Obs.Json.Str eval_mode);
+      ("eval_mode", Obs.Json.Str "incremental");
     ]
 
 (* One perf-parallel measurement row: a [best_of] at one jobs count, with
@@ -719,8 +720,7 @@ let perf_parallel () =
   out "{\n";
   out "  \"bench\": \"perf-parallel\",\n";
   out "  \"baseline\": %s,\n"
-    (Obs.Json.to_string
-       (baseline_json ~jobs:(Core.Oblx.default_jobs ()) ~eval_mode:"incremental"));
+    (Obs.Json.to_string (baseline_json ~jobs:(Core.Oblx.default_jobs ())));
   out "  \"seed\": %d,\n" base_seed;
   out "  \"runs\": %d,\n" p_runs;
   out "  \"moves\": %d,\n" p_moves;
@@ -839,10 +839,7 @@ let telemetry () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "telemetry");
-        ( "baseline",
-          baseline_json
-            ~jobs:(Option.value !jobs ~default:(Core.Oblx.default_jobs ()))
-            ~eval_mode:"incremental" );
+        ("baseline", baseline_json ~jobs:(Option.value !jobs ~default:(Core.Oblx.default_jobs ())));
         ("circuit", Obs.Json.Str "simple-ota");
         ("seed", int (base_seed + 5));
         ("runs", int t_runs);
@@ -1103,7 +1100,7 @@ let perf_incremental () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "perf-incremental");
-        ("baseline", baseline_json ~jobs:1 ~eval_mode:"incremental");
+        ("baseline", baseline_json ~jobs:1);
         ("seed", int (base_seed + 17));
         ("moves", int n_moves);
         ("best_speedup", num best_speedup);
@@ -1367,9 +1364,7 @@ let serve () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "serve");
-        ( "baseline",
-          baseline_json ~jobs:workers
-            ~eval_mode:(if cfg.pool.Serve.Pool.incremental then "incremental" else "full") );
+        ("baseline", baseline_json ~jobs:workers);
         ("workers", int workers);
         ("submissions", int n_jobs);
         ("moves_per_job", int s_moves);
@@ -1554,9 +1549,7 @@ let serve_concurrent () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "serve-concurrent");
-        ( "baseline",
-          baseline_json ~jobs:workers
-            ~eval_mode:(if cfg.pool.Serve.Pool.incremental then "incremental" else "full") );
+        ("baseline", baseline_json ~jobs:workers);
         ("workers", int workers);
         ("clients", int clients);
         ("jobs_per_client", int jobs_per_client);
@@ -1838,7 +1831,7 @@ let serve_fleet () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "serve-fleet");
-        ("baseline", baseline_json ~jobs:workers ~eval_mode:"incremental");
+        ("baseline", baseline_json ~jobs:workers);
         ("daemons", int 3);
         ("workers_per_daemon", int workers);
         ("moves_per_job", int s_moves);
@@ -2021,7 +2014,7 @@ let sweep_bench () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "sweep");
-        ("baseline", baseline_json ~jobs:1 ~eval_mode:"incremental");
+        ("baseline", baseline_json ~jobs:1);
         ("circuit", Obs.Json.Str name);
         ("variants", int n_variants);
         ("distinct_keys", int distinct_keys);
@@ -2160,7 +2153,7 @@ let warm_start_bench () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "warm-start");
-        ("baseline", baseline_json ~jobs:1 ~eval_mode:"incremental");
+        ("baseline", baseline_json ~jobs:1);
         ("seed", int base_seed);
         ("moves", int n_moves);
         ("best_ratio", num best_ratio);

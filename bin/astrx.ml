@@ -117,16 +117,6 @@ let make_trace path level =
   | None -> Obs.Trace.none
   | Some path -> Obs.Trace.make ~level [ Obs.Sink.jsonl_file path ]
 
-let no_incremental_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Evaluate every move with the full cost function instead of the move-scoped \
-           incremental evaluator (escape hatch; also disables batched candidate screening, \
-           see $(b,--probe-batch))")
-
 let probe_batch_arg =
   Arg.(
     value
@@ -157,8 +147,8 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile a problem and print ASTRX's analysis")
     Term.(const run $ file_arg)
 
-let synth_source name src seed moves runs jobs early_stop no_incremental probe_batch no_verify
-    dump trace_path trace_level =
+let synth_source name src seed moves runs jobs early_stop probe_batch no_verify dump trace_path
+    trace_level =
   match Core.Compile.compile_source src with
   | Error e ->
       prerr_endline e;
@@ -170,8 +160,7 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
       print_analysis name p;
       let obs = make_trace trace_path trace_level in
       let best, all =
-        Core.Oblx.best_of ~seed ?moves ?jobs ~early_stop ~incremental:(not no_incremental)
-          ~probe_batch ~obs ~runs p
+        Core.Oblx.best_of ~seed ?moves ?jobs ~early_stop ~probe_batch ~obs ~runs p
       in
       Obs.Trace.close obs;
       (match trace_path with
@@ -217,37 +206,33 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
       0
 
 let synth_cmd =
-  let run file seed moves runs jobs early_stop no_incremental probe_batch no_verify dump trace
-      trace_level =
-    synth_source file (read_file file) seed moves runs jobs early_stop no_incremental
-      probe_batch no_verify dump trace trace_level
+  let run file seed moves runs jobs early_stop probe_batch no_verify dump trace trace_level =
+    synth_source file (read_file file) seed moves runs jobs early_stop probe_batch no_verify dump
+      trace trace_level
   in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a problem with OBLX")
     Term.(
       const run $ file_arg $ seed_arg $ moves_arg $ runs_arg $ jobs_arg $ early_stop_arg
-      $ no_incremental_arg $ probe_batch_arg $ no_verify_arg $ netlist_arg $ trace_arg
-      $ trace_level_arg)
+      $ probe_batch_arg $ no_verify_arg $ netlist_arg $ trace_arg $ trace_level_arg)
 
 let bench_cmd =
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name")
   in
-  let run name seed moves runs jobs early_stop no_incremental probe_batch no_verify dump trace
-      trace_level =
+  let run name seed moves runs jobs early_stop probe_batch no_verify dump trace trace_level =
     match Suite.Ckts.find name with
     | None ->
         Printf.eprintf "unknown benchmark %s; known: %s\n" name
           (String.concat ", " (List.map (fun (e : Suite.Ckts.entry) -> e.name) Suite.Ckts.all));
         1
     | Some e ->
-        synth_source e.name e.source seed moves runs jobs early_stop no_incremental probe_batch
-          no_verify dump trace trace_level
+        synth_source e.name e.source seed moves runs jobs early_stop probe_batch no_verify dump
+          trace trace_level
   in
   Cmd.v (Cmd.info "bench" ~doc:"Run a built-in benchmark circuit")
     Term.(
       const run $ name_arg $ seed_arg $ moves_arg $ runs_arg $ jobs_arg $ early_stop_arg
-      $ no_incremental_arg $ probe_batch_arg $ no_verify_arg $ netlist_arg $ trace_arg
-      $ trace_level_arg)
+      $ probe_batch_arg $ no_verify_arg $ netlist_arg $ trace_arg $ trace_level_arg)
 
 (* Problem source for replay/submit: a built-in benchmark name or a file
    path. An unreadable file is an [Error], not an escaping [Sys_error]. *)
@@ -1029,17 +1014,17 @@ let stats_cmd =
                 (n c "served_lookups") (n c "inbound_pushes"))
             [ Serve.Proto.Verdicts; Serve.Proto.Winners ]
       | Some _ | None -> ());
-      (match (Json.mem_opt "eval_mode" j, Json.mem_opt "evals" j) with
-      | Some (Json.Str mode), Some (Json.Obj _ as ev) ->
+      (match Json.mem_opt "evals" j with
+      | Some (Json.Obj _ as ev) ->
           let pct a b =
             match (jnum ev a, jnum ev b) with
             | Some x, Some y when x +. y > 0.0 -> Printf.sprintf "%.0f%%" (100.0 *. x /. (x +. y))
             | _ -> "-"
           in
           Printf.printf
-            "evals (%s): %s incremental / %s full; op cache %s hit, ROM reuse %s, spec reuse \
-             %s, %s resyncs (%s mismatches)\n"
-            mode (n ev "incremental") (n ev "full") (pct "op_hits" "op_misses")
+            "evals: %s incremental / %s full; op cache %s hit, ROM reuse %s, spec reuse %s, %s \
+             resyncs (%s mismatches)\n"
+            (n ev "incremental") (n ev "full") (pct "op_hits" "op_misses")
             (pct "rom_reuses" "rom_builds") (pct "spec_reuses" "spec_evals") (n ev "resyncs")
             (n ev "resync_mismatches");
           (match jnum ev "probes" with
@@ -1047,8 +1032,7 @@ let stats_cmd =
               Printf.printf "probe: %s screens, %s jig refits\n" (n ev "probes")
                 (n ev "probe_rom_builds")
           | Some _ | None -> ())
-      | Some (Json.Str mode), _ -> Printf.printf "evals: mode %s\n" mode
-      | _ -> ());
+      | Some _ | None -> ());
       match Json.mem_opt "workers_detail" j with
       | Some (Json.Arr ws) ->
           List.iter

@@ -191,6 +191,7 @@ let analyze ~(params : (string * Netlist.Expr.t) list) ~(state0 : State.t)
     (* Corner rows rebuild bias + ROMs under a skewed registry; every
        variable reaches that solve, so they re-measure on every eval. *)
     let always = ref (s.Problem.spec_corner <> None) in
+    let screened = ref (s.Problem.spec_corner <> None) in
     let vars = ref S.empty in
     let elems = ref S.empty in
     let sjigs = ref S.empty in
@@ -219,6 +220,7 @@ let analyze ~(params : (string * Netlist.Expr.t) list) ~(state0 : State.t)
           walk a;
           walk b
       | Netlist.Expr.Call (f, args) when List.mem f known_tf_functions -> begin
+          if List.mem f transient_functions then screened := true;
           match args with
           | Netlist.Expr.Ref [ tf ] :: rest -> begin
               (match Hashtbl.find_opt jig_of_tf tf with
@@ -246,6 +248,7 @@ let analyze ~(params : (string * Netlist.Expr.t) list) ~(state0 : State.t)
       sd_vars = S.elements !vars;
       sd_elems = S.elements !elems;
       sd_jigs = S.elements !sjigs;
+      sd_screened = !screened;
     }
   in
   {

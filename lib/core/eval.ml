@@ -799,7 +799,9 @@ module Incr = struct
     mutable k_rom_reuses : int;
   }
 
-  type memo_slot = { key : float array; memo_op : Mna.Dc.op_info }
+  (* [memo_op] is the [Some op] box itself, so a memo hit hands out a
+     shared box and allocates nothing. *)
+  type memo_slot = { key : float array; memo_op : Mna.Dc.op_info option }
 
   (* Per-element arena slot. KCL contributions live in the flat [fn]/[fv]
      pair (node index / current), length [flen], capacity fixed at create
@@ -837,7 +839,7 @@ module Incr = struct
     mag : float array;  (* cached per-node |current| sums *)
     elems : elem_cache array;
     elem_changed : bool array;  (* scratch, per sync *)
-    elem_dirty : bool array;  (* scratch, per sync *)
+    elem_dirty : bool array;  (* scratch, per sync or probe *)
     node_seen : bool array;  (* scratch, per sync *)
     dirty_buf : int array;  (* scratch: dirty vars, ascending *)
     touched_buf : int array;  (* scratch: nodes visited this sync *)
@@ -848,9 +850,6 @@ module Incr = struct
     mutable roms_flat_valid : bool;
     spec_valid : bool array;
     spec_cache : float option array;
-    spec_screened : bool array;
-        (* corner rows and transient-measured rows: the probe path serves
-           these from the cache instead of re-simulating per candidate *)
     mutable spec_list : (string * float option) list;
     mutable spec_list_valid : bool;
     (* reverse maps derived from the per-spec dependency sets *)
@@ -868,23 +867,19 @@ module Incr = struct
     p_mag : float array;
     p_residuals : float array;
     p_res_scale : float array;
-    p_elem_dirty : bool array;
     p_jig_dirty : bool array;
     p_spec_stale : bool array;
-    p_ops : Mna.Dc.op_info option array;  (* probe op of dirty devices *)
-    pf_n : int array;  (* one element's probe flow nodes *)
+    p_ops : Mna.Dc.op_info option array;  (* [elem_flows]' device ops *)
+    pf_n : int array;  (* one element's flow nodes, from [elem_flows] *)
     pf_v : float array;  (* ... and currents *)
     mutable dirty_accum : int;  (* dirty vars since the last cost eval *)
     mutable since_resync : int;
     mutable cls : string;  (* move class currently charged, for stats *)
+    mutable cls_row : counters option;  (* [cls]'s row, once looked up *)
     (* counters *)
     mutable c_full : int;
     mutable c_incr : int;
     mutable c_dirty : int;
-    mutable c_op_hits : int;
-    mutable c_op_misses : int;
-    mutable c_rom_builds : int;
-    mutable c_rom_reuses : int;
     mutable c_spec_evals : int;
     mutable c_spec_reuses : int;
     mutable c_resyncs : int;
@@ -948,26 +943,6 @@ module Incr = struct
     let venv = value_env_get p (fun () -> !cur_st) in
     let spec_cx = new_ctx p.Problem.state0 in
     let spec_envv = spec_ctx_env p spec_cx in
-    let rec uses_transient (e : Netlist.Expr.t) =
-      match e with
-      | Netlist.Expr.Const _ | Netlist.Expr.Ref _ -> false
-      | Netlist.Expr.Neg a -> uses_transient a
-      | Netlist.Expr.Add (a, b)
-      | Netlist.Expr.Sub (a, b)
-      | Netlist.Expr.Mul (a, b)
-      | Netlist.Expr.Div (a, b)
-      | Netlist.Expr.Pow (a, b) ->
-          uses_transient a || uses_transient b
-      | Netlist.Expr.Call (f, args) ->
-          List.mem f Depgraph.transient_functions || List.exists uses_transient args
-    in
-    let spec_screened =
-      Array.of_list
-        (List.map
-           (fun (s : Problem.spec) ->
-             s.Problem.spec_corner <> None || uses_transient s.Problem.expr)
-           p.Problem.specs)
-    in
     {
       sp = p;
       dg;
@@ -994,7 +969,6 @@ module Incr = struct
       roms_flat_valid = false;
       spec_valid = Array.make n_specs false;
       spec_cache = Array.make n_specs None;
-      spec_screened;
       spec_list = [];
       spec_list_valid = false;
       var_specs;
@@ -1008,7 +982,6 @@ module Incr = struct
       p_mag = Array.make n_nodes 0.0;
       p_residuals = Array.make p.Problem.tl.Treelink.n_free 0.0;
       p_res_scale = Array.make p.Problem.tl.Treelink.n_free 0.0;
-      p_elem_dirty = Array.make n_elems false;
       p_jig_dirty = Array.make n_jigs false;
       p_spec_stale = Array.make n_specs false;
       p_ops = Array.make n_elems None;
@@ -1017,13 +990,10 @@ module Incr = struct
       dirty_accum = 0;
       since_resync = 0;
       cls = "";
+      cls_row = None;
       c_full = 0;
       c_incr = 0;
       c_dirty = 0;
-      c_op_hits = 0;
-      c_op_misses = 0;
-      c_rom_builds = 0;
-      c_rom_reuses = 0;
       c_spec_evals = 0;
       c_spec_reuses = 0;
       c_resyncs = 0;
@@ -1034,7 +1004,9 @@ module Incr = struct
       by_class = Hashtbl.create 8;
     }
 
-  let set_class ss cls = ss.cls <- cls
+  let set_class ss cls =
+    ss.cls <- cls;
+    ss.cls_row <- None
 
   let invalidate ss = ss.primed <- false
 
@@ -1068,13 +1040,10 @@ module Incr = struct
     ss.dirty_accum <- 0;
     ss.since_resync <- 0;
     ss.cls <- "";
+    ss.cls_row <- None;
     ss.c_full <- 0;
     ss.c_incr <- 0;
     ss.c_dirty <- 0;
-    ss.c_op_hits <- 0;
-    ss.c_op_misses <- 0;
-    ss.c_rom_builds <- 0;
-    ss.c_rom_reuses <- 0;
     ss.c_spec_evals <- 0;
     ss.c_spec_reuses <- 0;
     ss.c_resyncs <- 0;
@@ -1084,21 +1053,31 @@ module Incr = struct
     Array.fill ss.hist 0 (Array.length ss.hist) 0;
     Hashtbl.reset ss.by_class
 
+  (* The current class's counter row: looked up once per [set_class], and
+     only when something is counted, so a class appears in [stats] only
+     once it has counted something. *)
   let class_counters ss =
-    match Hashtbl.find_opt ss.by_class ss.cls with
+    match ss.cls_row with
     | Some k -> k
     | None ->
         let k =
-          {
-            k_evals = 0;
-            k_dirty = 0;
-            k_op_hits = 0;
-            k_op_misses = 0;
-            k_rom_builds = 0;
-            k_rom_reuses = 0;
-          }
+          match Hashtbl.find_opt ss.by_class ss.cls with
+          | Some k -> k
+          | None ->
+              let k =
+                {
+                  k_evals = 0;
+                  k_dirty = 0;
+                  k_op_hits = 0;
+                  k_op_misses = 0;
+                  k_rom_builds = 0;
+                  k_rom_reuses = 0;
+                }
+              in
+              Hashtbl.add ss.by_class ss.cls k;
+              k
         in
-        Hashtbl.add ss.by_class ss.cls k;
+        ss.cls_row <- Some k;
         k
 
   (* Bitwise float equality: the only change detector compatible with a
@@ -1117,18 +1096,15 @@ module Incr = struct
       if i >= n then None
       else
         match ec.memo.(i) with
-        | Some slot when key_eq slot.key key -> Some slot.memo_op
+        | Some slot when key_eq slot.key key -> slot.memo_op
         | Some _ | None -> go (i + 1)
     in
-    match go 0 with
-    | Some op ->
-        ss.c_op_hits <- ss.c_op_hits + 1;
-        (class_counters ss).k_op_hits <- (class_counters ss).k_op_hits + 1;
-        Some op
-    | None ->
-        ss.c_op_misses <- ss.c_op_misses + 1;
-        (class_counters ss).k_op_misses <- (class_counters ss).k_op_misses + 1;
-        None
+    let found = go 0 in
+    let k = class_counters ss in
+    (match found with
+    | Some _ -> k.k_op_hits <- k.k_op_hits + 1
+    | None -> k.k_op_misses <- k.k_op_misses + 1);
+    found
 
   let memo_add ec key memo_op =
     if Array.length ec.memo > 0 then begin
@@ -1136,45 +1112,44 @@ module Incr = struct
       ec.memo_next <- (ec.memo_next + 1) mod Array.length ec.memo
     end
 
-  (* Two-terminal flow update, in place: compare against the stored pair
-     and only mark the element changed on genuinely new bits. *)
-  let set_flow2 ss i ec n1 v1 n2 v2 =
-    let changed =
-      ec.flen <> 2
-      || ec.fn.(0) <> n1
-      || (not (feq_bits ec.fv.(0) v1))
-      || ec.fn.(1) <> n2
-      || not (feq_bits ec.fv.(1) v2)
-    in
-    if changed then begin
-      ec.fn.(0) <- n1;
-      ec.fv.(0) <- v1;
-      ec.fn.(1) <- n2;
-      ec.fv.(1) <- v2;
-      ec.flen <- 2;
-      ss.elem_changed.(i) <- true
-    end
-
-  (* Recompute one element's flow contributions (and operating point for a
-     device) with the same arithmetic, in the same order, as [sweep_bias]. *)
-  let recompute_elem ss ~force value i (e : Netlist.Circuit.element) =
+  (* The one element kernel: element [i]'s KCL flows with the same
+     arithmetic, in the same emission order, as [sweep_bias], read from
+     the node voltages [nv] and written into the [pf_n]/[pf_v] scratch.
+     Returns the flow length; a device's operating point lands in [p_ops].
+     The exact path ([recompute_elem]) and the probe both call it. They
+     share the operating-point memo: a memoized op is a pure function of
+     its exact key bits, so a probe's lookups and inserts cannot perturb
+     the exact path; they only warm the memo for the confirm evaluation. *)
+  let elem_flows ss value nv i (e : Netlist.Circuit.element) =
     let p = ss.sp in
-    let nv = ss.nv in
     let ec = ss.elems.(i) in
+    let fn = ss.pf_n and fv = ss.pf_v in
     match e with
     | Netlist.Circuit.Resistor { n1; n2; value = ve; _ } ->
         let iv = (nv.(n1) -. nv.(n2)) /. value ve in
-        set_flow2 ss i ec n1 iv n2 (-.iv)
-    | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Vsource _ -> ()
+        fn.(0) <- n1;
+        fv.(0) <- iv;
+        fn.(1) <- n2;
+        fv.(1) <- -.iv;
+        2
+    | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Vsource _ -> 0
     | Netlist.Circuit.Isource { np; nn; dc; _ } ->
         let iv = value dc in
-        set_flow2 ss i ec np iv nn (-.iv)
+        fn.(0) <- np;
+        fv.(0) <- iv;
+        fn.(1) <- nn;
+        fv.(1) <- -.iv;
+        2
     | Netlist.Circuit.Vccs { np; nn; ncp; ncn; gm; _ } ->
         let iv = value gm *. (nv.(ncp) -. nv.(ncn)) in
-        set_flow2 ss i ec np iv nn (-.iv)
+        fn.(0) <- np;
+        fv.(0) <- iv;
+        fn.(1) <- nn;
+        fv.(1) <- -.iv;
+        2
     | Netlist.Circuit.Mosfet { name; d; g; s; b; model; w; l; mult } -> begin
         match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Mos { eval; _ } ->
+        | Devices.Sig.Mos { eval; _ } -> (
             let key = ec.kscratch in
             key.(0) <- value w;
             key.(1) <- value l;
@@ -1185,41 +1160,37 @@ module Incr = struct
             key.(6) <- nv.(b);
             let op_info =
               match memo_find ss ec key with
-              | Some op -> op
+              | Some _ as hit -> hit
               | None ->
                   let op =
                     eval ~w:key.(0) ~l:key.(1) ~m:key.(2) ~vd:key.(3) ~vg:key.(4) ~vs:key.(5)
                       ~vb:key.(6)
                   in
-                  let oi = Mna.Dc.Mos_op op in
+                  let oi = Some (Mna.Dc.Mos_op op) in
                   memo_add ec (Array.copy key) oi;
                   oi
             in
-            let unchanged = match ec.op with Some o -> o == op_info | None -> false in
-            if force || not unchanged then begin
-              (match op_info with
-              | Mna.Dc.Mos_op op ->
-                  let open Devices.Sig in
-                  ec.fn.(0) <- d;
-                  ec.fv.(0) <- op.id_;
-                  ec.fn.(1) <- s;
-                  ec.fv.(1) <- -.op.id_;
-                  ec.fn.(2) <- b;
-                  ec.fv.(2) <- op.ibd_ +. op.ibs_;
-                  ec.fn.(3) <- d;
-                  ec.fv.(3) <- -.op.ibd_;
-                  ec.fn.(4) <- s;
-                  ec.fv.(4) <- -.op.ibs_;
-                  ec.flen <- 5
-              | Mna.Dc.Bjt_op _ -> assert false);
-              ec.op <- Some op_info;
-              ss.elem_changed.(i) <- true
-            end
+            ss.p_ops.(i) <- op_info;
+            match op_info with
+            | Some (Mna.Dc.Mos_op op) ->
+                let open Devices.Sig in
+                fn.(0) <- d;
+                fv.(0) <- op.id_;
+                fn.(1) <- s;
+                fv.(1) <- -.op.id_;
+                fn.(2) <- b;
+                fv.(2) <- op.ibd_ +. op.ibs_;
+                fn.(3) <- d;
+                fv.(3) <- -.op.ibd_;
+                fn.(4) <- s;
+                fv.(4) <- -.op.ibs_;
+                5
+            | Some (Mna.Dc.Bjt_op _) | None -> assert false)
         | Devices.Sig.Bjt _ -> failwith (name ^ ": MOS element with BJT model")
       end
     | Netlist.Circuit.Bjt { name; c; b; e = ne; model; area } -> begin
         match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Bjt { eval; _ } ->
+        | Devices.Sig.Bjt { eval; _ } -> (
             let key = ec.kscratch in
             key.(0) <- value area;
             key.(1) <- nv.(c);
@@ -1227,29 +1198,25 @@ module Incr = struct
             key.(3) <- nv.(ne);
             let op_info =
               match memo_find ss ec key with
-              | Some op -> op
+              | Some _ as hit -> hit
               | None ->
                   let op = eval ~area:key.(0) ~vc:key.(1) ~vb:key.(2) ~ve:key.(3) in
-                  let oi = Mna.Dc.Bjt_op op in
+                  let oi = Some (Mna.Dc.Bjt_op op) in
                   memo_add ec (Array.copy key) oi;
                   oi
             in
-            let unchanged = match ec.op with Some o -> o == op_info | None -> false in
-            if force || not unchanged then begin
-              (match op_info with
-              | Mna.Dc.Bjt_op op ->
-                  let open Devices.Sig in
-                  ec.fn.(0) <- c;
-                  ec.fv.(0) <- op.ic;
-                  ec.fn.(1) <- b;
-                  ec.fv.(1) <- op.ib;
-                  ec.fn.(2) <- ne;
-                  ec.fv.(2) <- -.(op.ic +. op.ib);
-                  ec.flen <- 3
-              | Mna.Dc.Mos_op _ -> assert false);
-              ec.op <- Some op_info;
-              ss.elem_changed.(i) <- true
-            end
+            ss.p_ops.(i) <- op_info;
+            match op_info with
+            | Some (Mna.Dc.Bjt_op op) ->
+                let open Devices.Sig in
+                fn.(0) <- c;
+                fv.(0) <- op.ic;
+                fn.(1) <- b;
+                fv.(1) <- op.ib;
+                fn.(2) <- ne;
+                fv.(2) <- -.(op.ic +. op.ib);
+                3
+            | Some (Mna.Dc.Mos_op _) | None -> assert false)
         | Devices.Sig.Mos _ -> failwith (name ^ ": BJT element with MOS model")
       end
     | Netlist.Circuit.Inductor { name; _ }
@@ -1257,6 +1224,35 @@ module Incr = struct
     | Netlist.Circuit.Cccs { name; _ }
     | Netlist.Circuit.Ccvs { name; _ } ->
         failwith (name ^ ": unsupported element in bias network")
+
+  let same_op a b =
+    match (a, b) with
+    | Some x, Some y -> x == y
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+
+  let rec same_flows ec fn fv n k =
+    k >= n
+    || (ec.fn.(k) = fn.(k) && feq_bits ec.fv.(k) fv.(k) && same_flows ec fn fv n (k + 1))
+
+  (* Recompute one element into its cache. It counts as changed on [force],
+     on a physically different operating-point record (a clean device
+     keeps the very record the cached AWE models were built from), or on
+     new flow bits. *)
+  let recompute_elem ss ~force value i e =
+    let ec = ss.elems.(i) in
+    let n = elem_flows ss value ss.nv i e in
+    let op = ss.p_ops.(i) in
+    let unchanged = same_op ec.op op && ec.flen = n && same_flows ec ss.pf_n ss.pf_v n 0 in
+    if force || not unchanged then begin
+      for k = 0 to n - 1 do
+        ec.fn.(k) <- ss.pf_n.(k);
+        ec.fv.(k) <- ss.pf_v.(k)
+      done;
+      ec.flen <- n;
+      ec.op <- op;
+      ss.elem_changed.(i) <- true
+    end
 
   (* Node voltage with the same arithmetic as [node_voltages]. *)
   let node_voltage_of p (st : State.t) env node =
@@ -1284,6 +1280,45 @@ module Incr = struct
       end
     end
 
+  (* The one dirty walk, shared by [sync] and the probe: collect the
+     variables whose bits differ from the last synced state into
+     [dirty_buf] (ascending), recompute the nodes they reach into [nv], and
+     mark in [elem_dirty] the elements a dirty variable reads or a node
+     whose voltage actually changed bits touches. Returns the number of
+     dirty variables. *)
+  let walk_dirty ss (st : State.t) env ~nv =
+    let p = ss.sp in
+    Array.fill ss.elem_dirty 0 (Array.length ss.elem_dirty) false;
+    let ndirty = ref 0 in
+    for v = 0 to Array.length ss.last_values - 1 do
+      if not (feq_bits ss.last_values.(v) st.State.values.(v)) then begin
+        ss.dirty_buf.(!ndirty) <- v;
+        incr ndirty
+      end
+    done;
+    let ntouched = ref 0 in
+    for di = 0 to !ndirty - 1 do
+      let v = ss.dirty_buf.(di) in
+      List.iter
+        (fun node ->
+          if not ss.node_seen.(node) then begin
+            ss.node_seen.(node) <- true;
+            ss.touched_buf.(!ntouched) <- node;
+            incr ntouched;
+            let fresh = node_voltage_of p st env node in
+            if not (feq_bits fresh nv.(node)) then begin
+              nv.(node) <- fresh;
+              List.iter (fun e -> ss.elem_dirty.(e) <- true) ss.dg.Problem.dg_node_elems.(node)
+            end
+          end)
+        ss.dg.Problem.dg_var_nodes.(v);
+      List.iter (fun e -> ss.elem_dirty.(e) <- true) ss.dg.Problem.dg_var_elems.(v)
+    done;
+    for k = 0 to !ntouched - 1 do
+      ss.node_seen.(ss.touched_buf.(k)) <- false
+    done;
+    !ndirty
+
   (* Bring the bias slice (node voltages, element flows and operating
      points, KCL residuals) up to date with [st], marking dependent jigs
      and specs stale along the way. *)
@@ -1297,51 +1332,18 @@ module Incr = struct
       let env = ss.venv in
       let value e = Netlist.Expr.eval env e in
       Array.fill ss.elem_changed 0 n_elems false;
-      Array.fill ss.elem_dirty 0 n_elems force;
-      (* dirty variables collect in [dirty_buf], ascending *)
-      let ndirty = ref 0 in
-      if force then begin
-        for v = 0 to n_vars - 1 do
-          ss.dirty_buf.(v) <- v
-        done;
-        ndirty := n_vars;
-        Array.iteri (fun node _ -> ss.nv.(node) <- node_voltage_of p st env node) ss.nv;
-        Array.fill ss.jig_valid 0 (Array.length ss.jig_valid) false;
-        ss.roms_flat_valid <- false;
-        Array.fill ss.spec_valid 0 (Array.length ss.spec_valid) false
-      end
-      else begin
-        for v = 0 to n_vars - 1 do
-          if not (feq_bits ss.last_values.(v) st.State.values.(v)) then begin
-            ss.dirty_buf.(!ndirty) <- v;
-            incr ndirty
-          end
-        done;
-        (* dirty vars -> nodes: recompute, and only a node whose voltage
-           actually changed bits dirties the elements on it *)
-        let ntouched = ref 0 in
-        for di = 0 to !ndirty - 1 do
-          let v = ss.dirty_buf.(di) in
-          List.iter
-            (fun node ->
-              if not ss.node_seen.(node) then begin
-                ss.node_seen.(node) <- true;
-                ss.touched_buf.(!ntouched) <- node;
-                incr ntouched;
-                let fresh = node_voltage_of p st env node in
-                if not (feq_bits fresh ss.nv.(node)) then begin
-                  ss.nv.(node) <- fresh;
-                  List.iter (fun e -> ss.elem_dirty.(e) <- true) ss.dg.Problem.dg_node_elems.(node)
-                end
-              end)
-            ss.dg.Problem.dg_var_nodes.(v);
-          List.iter (fun e -> ss.elem_dirty.(e) <- true) ss.dg.Problem.dg_var_elems.(v)
-        done;
-        for k = 0 to !ntouched - 1 do
-          ss.node_seen.(ss.touched_buf.(k)) <- false
-        done
-      end;
-      ss.dirty_accum <- ss.dirty_accum + !ndirty;
+      let ndirty =
+        if force then begin
+          Array.fill ss.elem_dirty 0 n_elems true;
+          Array.iteri (fun node _ -> ss.nv.(node) <- node_voltage_of p st env node) ss.nv;
+          Array.fill ss.jig_valid 0 (Array.length ss.jig_valid) false;
+          ss.roms_flat_valid <- false;
+          Array.fill ss.spec_valid 0 (Array.length ss.spec_valid) false;
+          n_vars
+        end
+        else walk_dirty ss st env ~nv:ss.nv
+      in
+      ss.dirty_accum <- ss.dirty_accum + ndirty;
       (* Recompute dirty elements; [elem_changed] ends up true only where
          the contribution (or operating point) has genuinely new bits. *)
       Array.iteri
@@ -1384,7 +1386,7 @@ module Incr = struct
           ss.elem_changed
       end;
       if not force then
-        for di = 0 to !ndirty - 1 do
+        for di = 0 to ndirty - 1 do
           let v = ss.dirty_buf.(di) in
           List.iter (fun j -> check_jig_vals ss env j) ss.dg.Problem.dg_var_jigs.(v);
           List.iter (fun s -> ss.spec_valid.(s) <- false) ss.var_specs.(v)
@@ -1433,20 +1435,12 @@ module Incr = struct
              ss.jig_valid.(j) <- true;
              ss.roms_flat_valid <- false;
              List.iter (fun s -> ss.spec_valid.(s) <- false) ss.jig_specs.(j);
-             ss.c_rom_builds <- ss.c_rom_builds + 1;
              kk.k_rom_builds <- kk.k_rom_builds + 1
            end
-           else begin
-             ss.c_rom_reuses <- ss.c_rom_reuses + 1;
-             kk.k_rom_reuses <- kk.k_rom_reuses + 1
-           end)
+           else kk.k_rom_reuses <- kk.k_rom_reuses + 1)
          p.Problem.jigs
      end
-     else begin
-       let n = Array.length ss.jig_valid in
-       ss.c_rom_reuses <- ss.c_rom_reuses + n;
-       kk.k_rom_reuses <- kk.k_rom_reuses + n
-     end);
+     else kk.k_rom_reuses <- kk.k_rom_reuses + Array.length ss.jig_valid);
     if not ss.roms_flat_valid then begin
       ss.roms_flat <- List.concat (Array.to_list ss.jig_roms);
       ss.roms_flat_valid <- true
@@ -1538,119 +1532,6 @@ module Incr = struct
 
   (* ---------------- candidate-move probe path ---------------- *)
 
-  (* Probe-side element evaluation: the same device arithmetic as
-     [recompute_elem], but reading the probe node voltages and writing
-     the flow into the [pf_n]/[pf_v] scratch so the exact per-element
-     caches stay untouched. The operating-point memo IS shared: a
-     memoized op is a pure function of the exact key bits, so probe
-     lookups and inserts cannot perturb the exact path — they only warm
-     the memo for the confirm evaluation of whichever candidate wins.
-     Returns the flow length; a device's probe op lands in [p_ops]. *)
-  let probe_elem_flows ss value i (e : Netlist.Circuit.element) =
-    let p = ss.sp in
-    let nv = ss.p_nv in
-    let ec = ss.elems.(i) in
-    match e with
-    | Netlist.Circuit.Resistor { n1; n2; value = ve; _ } ->
-        let iv = (nv.(n1) -. nv.(n2)) /. value ve in
-        ss.pf_n.(0) <- n1;
-        ss.pf_v.(0) <- iv;
-        ss.pf_n.(1) <- n2;
-        ss.pf_v.(1) <- -.iv;
-        2
-    | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Vsource _ -> 0
-    | Netlist.Circuit.Isource { np; nn; dc; _ } ->
-        let iv = value dc in
-        ss.pf_n.(0) <- np;
-        ss.pf_v.(0) <- iv;
-        ss.pf_n.(1) <- nn;
-        ss.pf_v.(1) <- -.iv;
-        2
-    | Netlist.Circuit.Vccs { np; nn; ncp; ncn; gm; _ } ->
-        let iv = value gm *. (nv.(ncp) -. nv.(ncn)) in
-        ss.pf_n.(0) <- np;
-        ss.pf_v.(0) <- iv;
-        ss.pf_n.(1) <- nn;
-        ss.pf_v.(1) <- -.iv;
-        2
-    | Netlist.Circuit.Mosfet { name; d; g; s; b; model; w; l; mult } -> begin
-        match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Mos { eval; _ } ->
-            let key = ec.kscratch in
-            key.(0) <- value w;
-            key.(1) <- value l;
-            key.(2) <- value mult;
-            key.(3) <- nv.(d);
-            key.(4) <- nv.(g);
-            key.(5) <- nv.(s);
-            key.(6) <- nv.(b);
-            let op_info =
-              match memo_find ss ec key with
-              | Some op -> op
-              | None ->
-                  let op =
-                    eval ~w:key.(0) ~l:key.(1) ~m:key.(2) ~vd:key.(3) ~vg:key.(4) ~vs:key.(5)
-                      ~vb:key.(6)
-                  in
-                  let oi = Mna.Dc.Mos_op op in
-                  memo_add ec (Array.copy key) oi;
-                  oi
-            in
-            ss.p_ops.(i) <- Some op_info;
-            (match op_info with
-            | Mna.Dc.Mos_op op ->
-                let open Devices.Sig in
-                ss.pf_n.(0) <- d;
-                ss.pf_v.(0) <- op.id_;
-                ss.pf_n.(1) <- s;
-                ss.pf_v.(1) <- -.op.id_;
-                ss.pf_n.(2) <- b;
-                ss.pf_v.(2) <- op.ibd_ +. op.ibs_;
-                ss.pf_n.(3) <- d;
-                ss.pf_v.(3) <- -.op.ibd_;
-                ss.pf_n.(4) <- s;
-                ss.pf_v.(4) <- -.op.ibs_;
-                5
-            | Mna.Dc.Bjt_op _ -> assert false)
-        | Devices.Sig.Bjt _ -> failwith (name ^ ": MOS element with BJT model")
-      end
-    | Netlist.Circuit.Bjt { name; c; b; e = ne; model; area } -> begin
-        match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Bjt { eval; _ } ->
-            let key = ec.kscratch in
-            key.(0) <- value area;
-            key.(1) <- nv.(c);
-            key.(2) <- nv.(b);
-            key.(3) <- nv.(ne);
-            let op_info =
-              match memo_find ss ec key with
-              | Some op -> op
-              | None ->
-                  let op = eval ~area:key.(0) ~vc:key.(1) ~vb:key.(2) ~ve:key.(3) in
-                  let oi = Mna.Dc.Bjt_op op in
-                  memo_add ec (Array.copy key) oi;
-                  oi
-            in
-            ss.p_ops.(i) <- Some op_info;
-            (match op_info with
-            | Mna.Dc.Bjt_op op ->
-                let open Devices.Sig in
-                ss.pf_n.(0) <- c;
-                ss.pf_v.(0) <- op.ic;
-                ss.pf_n.(1) <- b;
-                ss.pf_v.(1) <- op.ib;
-                ss.pf_n.(2) <- ne;
-                ss.pf_v.(2) <- -.(op.ic +. op.ib);
-                3
-            | Mna.Dc.Mos_op _ -> assert false)
-        | Devices.Sig.Mos _ -> failwith (name ^ ": BJT element with MOS model")
-      end
-    | Netlist.Circuit.Inductor { name; _ }
-    | Netlist.Circuit.Vcvs { name; _ }
-    | Netlist.Circuit.Cccs { name; _ }
-    | Netlist.Circuit.Ccvs { name; _ } ->
-        failwith (name ^ ": unsupported element in bias network")
-
   (* Probe ROMs fit at a reduced order: half the moments of the exact
      path is plenty to rank candidates, and the cost of the recurrence is
      linear in the moment count. A touched jig is restamped and factored
@@ -1661,57 +1542,33 @@ module Incr = struct
   (* Screening cost of a candidate state: approximate by design (probe
      ROMs are reduced-order), cheap by construction (only the slice a
      candidate touches is recomputed, into the p_* scratch arrays).
-     Nothing the probe writes is read by the exact path: the only shared mutable structures it touches are the
-     operating-point memo (pure function of key bits) and the probe
-     counters. The annealer uses this to rank candidates; the winner is
-     confirmed through [cost], which alone feeds accepted state. *)
+     Nothing the probe writes is read by the exact path: besides its own
+     scratch it touches only the dirty walk's and the element kernel's
+     scratch, which every sync refills before reading, the operating-point
+     memo (a pure function of key bits) and the probe counters. The
+     annealer uses this to rank candidates; the winner is confirmed
+     through [cost], which alone feeds accepted state. *)
   let probe_cost ss (w : Weights.t) (st : State.t) =
     if not ss.primed then (cost ss w st).total
     else begin
       ss.c_probes <- ss.c_probes + 1;
       let p = ss.sp in
-      let n_vars = Array.length ss.last_values in
       let n_nodes = Array.length ss.nv in
       let n_elems = Array.length ss.elems in
       ss.cur_st := st;
       let env = ss.venv in
       let value e = Netlist.Expr.eval env e in
-      Array.fill ss.p_elem_dirty 0 n_elems false;
       Array.fill ss.p_jig_dirty 0 (Array.length ss.p_jig_dirty) false;
       Array.fill ss.p_spec_stale 0 (Array.length ss.p_spec_stale) false;
       Array.fill ss.p_ops 0 n_elems None;
       Array.blit ss.nv 0 ss.p_nv 0 n_nodes;
-      (* candidate-dirty variables, and the nodes/elements/jigs/specs they
-         reach — the same depgraph walk as [sync], on probe scratch *)
-      let ndirty = ref 0 in
-      for v = 0 to n_vars - 1 do
-        if not (feq_bits ss.last_values.(v) st.State.values.(v)) then begin
-          ss.dirty_buf.(!ndirty) <- v;
-          incr ndirty
-        end
-      done;
-      let ntouched = ref 0 in
-      for di = 0 to !ndirty - 1 do
+      (* candidate-dirty variables and the nodes/elements they reach, on
+         probe scratch; then the jigs and specs the variables reach *)
+      let ndirty = walk_dirty ss st env ~nv:ss.p_nv in
+      for di = 0 to ndirty - 1 do
         let v = ss.dirty_buf.(di) in
-        List.iter
-          (fun node ->
-            if not ss.node_seen.(node) then begin
-              ss.node_seen.(node) <- true;
-              ss.touched_buf.(!ntouched) <- node;
-              incr ntouched;
-              let fresh = node_voltage_of p st env node in
-              if not (feq_bits fresh ss.p_nv.(node)) then begin
-                ss.p_nv.(node) <- fresh;
-                List.iter (fun e -> ss.p_elem_dirty.(e) <- true) ss.dg.Problem.dg_node_elems.(node)
-              end
-            end)
-          ss.dg.Problem.dg_var_nodes.(v);
-        List.iter (fun e -> ss.p_elem_dirty.(e) <- true) ss.dg.Problem.dg_var_elems.(v);
         List.iter (fun j -> ss.p_jig_dirty.(j) <- true) ss.dg.Problem.dg_var_jigs.(v);
         List.iter (fun s -> ss.p_spec_stale.(s) <- true) ss.var_specs.(v)
-      done;
-      for k = 0 to !ntouched - 1 do
-        ss.node_seen.(ss.touched_buf.(k)) <- false
       done;
       (* Flows: start from the accepted accumulators and retract/re-add
          only the dirty elements. The fold order differs from the exact
@@ -1722,23 +1579,20 @@ module Incr = struct
       let ops_changed = ref false in
       Array.iteri
         (fun i e ->
-          if ss.p_elem_dirty.(i) then begin
+          if ss.elem_dirty.(i) then begin
             let ec = ss.elems.(i) in
             for k = 0 to ec.flen - 1 do
               let node = ec.fn.(k) and iv = ec.fv.(k) in
               ss.p_cur.(node) <- ss.p_cur.(node) -. iv;
               ss.p_mag.(node) <- ss.p_mag.(node) -. Float.abs iv
             done;
-            let plen = probe_elem_flows ss value i e in
+            let plen = elem_flows ss value ss.p_nv i e in
             for k = 0 to plen - 1 do
               let node = ss.pf_n.(k) and iv = ss.pf_v.(k) in
               ss.p_cur.(node) <- ss.p_cur.(node) +. iv;
               ss.p_mag.(node) <- ss.p_mag.(node) +. Float.abs iv
             done;
-            (match ss.p_ops.(i) with
-            | Some oi -> (
-                match ec.op with Some o when o == oi -> () | Some _ | None -> ops_changed := true)
-            | None -> ());
+            if not (same_op ec.op ss.p_ops.(i)) then ops_changed := true;
             List.iter (fun j -> ss.p_jig_dirty.(j) <- true) ss.dg.Problem.dg_elem_jigs.(i);
             List.iter (fun s -> ss.p_spec_stale.(s) <- true) ss.elem_specs.(i)
           end)
@@ -1791,7 +1645,7 @@ module Incr = struct
                  value: re-simulating them per candidate would dominate
                  the screen, and ranking tolerates the approximation —
                  every accepted state is confirmed through [cost]. *)
-              if ss.spec_screened.(i) then ss.spec_cache.(i)
+              if sd.Problem.sd_screened then ss.spec_cache.(i)
               else if sd.Problem.sd_always || ss.p_spec_stale.(i) || not ss.spec_valid.(i) then
                 measure_spec senv s
               else ss.spec_cache.(i)
@@ -1828,14 +1682,15 @@ module Incr = struct
         ss.by_class []
       |> List.sort (fun a b -> String.compare a.cr_class b.cr_class)
     in
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 by_class in
     {
       full_evals = ss.c_full;
       incr_evals = ss.c_incr;
       dirty_vars = ss.c_dirty;
-      op_hits = ss.c_op_hits;
-      op_misses = ss.c_op_misses;
-      rom_builds = ss.c_rom_builds;
-      rom_reuses = ss.c_rom_reuses;
+      op_hits = sum (fun r -> r.cr_op_hits);
+      op_misses = sum (fun r -> r.cr_op_misses);
+      rom_builds = sum (fun r -> r.cr_rom_builds);
+      rom_reuses = sum (fun r -> r.cr_rom_reuses);
       spec_evals = ss.c_spec_evals;
       spec_reuses = ss.c_spec_reuses;
       resyncs = ss.c_resyncs;
@@ -1846,6 +1701,4 @@ module Incr = struct
       dirty_hist = Array.copy ss.hist;
       by_class;
     }
-
-  let problem ss = ss.sp
 end

@@ -177,8 +177,6 @@ module Incr : sig
       verified bitwise against a from-scratch {!Eval.cost}. *)
   val create : ?resync_every:int -> Problem.t -> session
 
-  val problem : session -> Problem.t
-
   (** Tag subsequent evaluations with a move-class name for [stats]. *)
   val set_class : session -> string -> unit
 

@@ -348,9 +348,8 @@ let arena_minor_heap_words = 1 lsl 22
    always allowed to finish, so early stopping rarely changes the winner. *)
 let early_stop_slack best = Float.max 1.0 (0.25 *. Float.abs best)
 
-let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
-    ?(probe_batch = default_probe_batch) ?restarts ?cutoff ?(warm_starts = [||])
-    ?(obs = Obs.Trace.none) ?perf ~runs (p : Problem.t) =
+let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(probe_batch = default_probe_batch)
+    ?restarts ?cutoff ?(warm_starts = [||]) ?(obs = Obs.Trace.none) ?perf ~runs (p : Problem.t) =
   if runs < 1 then invalid_arg "Oblx.best_of: runs must be >= 1";
   (* Warm seeds attach to restart indices positionally: restart k < |seeds|
      anneals from seed k, the rest stay cold for exploration. The mapping
@@ -433,7 +432,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
     (* One evaluator arena per domain, reset between the restarts this
        worker claims — allocation stays domain-local across the whole
        worker lifetime. *)
-    let session = if incremental then Some (Eval.Incr.create p) else None in
+    let session = Eval.Incr.create p in
     let rec take () =
       let k = Atomic.fetch_and_add next 1 in
       if k < hi then begin
@@ -448,8 +447,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
         in
         let warm = if k < Array.length warm_starts then Some warm_starts.(k) else None in
         let r =
-          synthesize ~rng:streams.(k) ?moves ~incremental ~probe_batch ?session ?control ?warm
-            ~obs:obs_k p
+          synthesize ~rng:streams.(k) ?moves ~probe_batch ~session ?control ?warm ~obs:obs_k p
         in
         publish r.best_cost;
         results.(k) <- Some r;
@@ -506,7 +504,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
 
 let deadline_reason = "deadline"
 
-let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false) ?(incremental = true)
+let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false)
     ?(probe_batch = default_probe_batch) ?restarts ?deadline_s ?poll ?warm_starts
     ?(obs = Obs.Trace.none) ?perf (p : Problem.t) =
   (* The deadline clock starts here — queue wait is the caller's budget to
@@ -525,7 +523,7 @@ let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false) ?(increme
       end
   in
   let cutoff = if poll = None && deadline_s = None then None else Some cutoff in
-  best_of ~seed ?moves ?jobs ~early_stop ~incremental ~probe_batch ?restarts ?cutoff ?warm_starts
+  best_of ~seed ?moves ?jobs ~early_stop ~probe_batch ?restarts ?cutoff ?warm_starts
     ~obs ?perf ~runs p
 
 (* ------------------------------------------------------------------ *)

@@ -77,8 +77,13 @@ type control = {
     approximate screen that never writes the exact caches), then replays
     and confirms only the winner through the exact path — so every
     accepted state's cost is still bit-identical to {!Eval.cost}.
-    [probe_batch <= 1], or [incremental:false], disables screening and
-    reproduces the classic one-candidate trajectory.
+    [probe_batch <= 1] disables screening and reproduces the classic
+    one-candidate trajectory.
+
+    [incremental:false] evaluates every move with the full {!Eval.cost}
+    and builds no session, so it also disables screening: it is the
+    oracle the incremental path is tested against, with the same
+    trajectory as [probe_batch = 1].
 
     [warm] starts the anneal from a {!warm_start} seed instead of the
     description's initial point, and — when the seed carries [ws_probs] —
@@ -223,7 +228,6 @@ val best_of :
   ?moves:int ->
   ?jobs:int ->
   ?early_stop:bool ->
-  ?incremental:bool ->
   ?probe_batch:int ->
   ?restarts:int * int ->
   ?cutoff:(unit -> string option) ->
@@ -253,7 +257,6 @@ val run_job :
   ?runs:int ->
   ?jobs:int ->
   ?early_stop:bool ->
-  ?incremental:bool ->
   ?probe_batch:int ->
   ?restarts:int * int ->
   ?deadline_s:float ->

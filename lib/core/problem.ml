@@ -39,6 +39,10 @@ type spec_deps = {
   sd_vars : int list;  (** variable indices the spec expression reads *)
   sd_elems : int list;  (** bias elements whose operating point it reads *)
   sd_jigs : int list;  (** jigs whose transfer functions it measures *)
+  sd_screened : bool;
+      (** a corner row, or one calling a [Depgraph.transient_functions]
+          function: candidate screening serves it from the last exact
+          value instead of re-simulating per candidate *)
 }
 
 type depgraph = {

@@ -6,7 +6,6 @@ type config = {
   cache_capacity : int;
   state_dir : string option;
   default_moves : int option;
-  incremental : bool;  (** move-scoped incremental cost evaluation *)
   fleet : Fleet.t option;  (** peer coordination: scatter + cache replication *)
   log_rotate_bytes : int option;  (** compact jobs.log beyond this size *)
   warm : bool;
@@ -25,7 +24,6 @@ let default_config =
     cache_capacity = 64;
     state_dir = None;
     default_moves = None;
-    incremental = true;
     fleet = None;
     log_rotate_bytes = None;
     warm = false;
@@ -556,7 +554,7 @@ let anneal t (j : job) shard ~buffer ?restarts ?warm_starts p =
   in
   let moves = match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves in
   Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves ~runs:j.spec.Proto.sb_runs ~jobs:1
-    ~incremental:t.cfg.incremental ?restarts ?deadline_s ?warm_starts
+    ?restarts ?deadline_s ?warm_starts
     ~poll:(fun () -> Atomic.get j.cancel)
     ~obs:(Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard buffer ])
     p
@@ -1102,7 +1100,6 @@ let stats_json t =
                 ("accepted", num_i telemetry.Obs.Sink.Summary.accepted);
                 ("events", num_i telemetry.Obs.Sink.Summary.events);
               ] );
-          ("eval_mode", Json.Str (if t.cfg.incremental then "incremental" else "full"));
           ( "evals",
             (* Aggregated incremental-evaluator counters over the latest
                snapshot per restart — cache effectiveness at a glance. *)

@@ -54,10 +54,6 @@ type config = {
           the daemon, replayed by {!create} *)
   default_moves : int option;
       (** moves budget for submissions that leave ["moves"] null *)
-  incremental : bool;
-      (** evaluate costs with the move-scoped incremental evaluator
-          ({!Core.Eval.Incr}); results are bit-identical either way, this
-          is the escape hatch if they ever aren't *)
   fleet : Fleet.t option;
       (** peer coordination: restart scattering and compile-cache
           replication; [None] = the classic single-daemon pool *)

@@ -86,9 +86,6 @@ let random_walk ?(moves = 1000) ?(resync_every = 128) name =
     true
     (s.Core.Eval.Incr.spec_reuses > 0 || s.Core.Eval.Incr.rom_reuses > 0)
 
-let walk_case name =
-  Alcotest.test_case ("walk " ^ name) `Slow (fun () -> random_walk name)
-
 (* Batched screening must probe without perturbing: a fuzz walk that
    screens k candidate perturbations per step with [probe_cost] (the
    approximate reduced-order path) and then confirms the chosen one exactly
@@ -137,9 +134,6 @@ let probe_walk ?(moves = 400) name =
     (name ^ ": probe path refit jigs")
     true
     (s.Core.Eval.Incr.probe_rom_builds > 0)
-
-let probe_walk_case name =
-  Alcotest.test_case ("probe walk " ^ name) `Slow (fun () -> probe_walk name)
 
 (* The measured view itself (ops, roms, spec values) must round-trip. *)
 let test_measure_identical () =
@@ -340,23 +334,59 @@ let test_screen_cheaper name =
   if not (probe < full) then
     Alcotest.failf "%s: probe_cost allocates %.0f words, Eval.cost %.0f" name probe full
 
+(* [f ss w st] at [state0] and after each of 50 random single-variable
+   moves, on one session. *)
+let at_single_moves name f =
+  let p = compile name in
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let rng = Anneal.Rng.create 99 in
+  let w = Core.Weights.create () in
+  let ss = Core.Eval.Incr.create p in
+  let n = Core.State.n_vars st in
+  f ss w st;
+  for _ = 1 to 50 do
+    let v = Anneal.Rng.int rng n in
+    let cur = st.Core.State.values.(v) in
+    st.Core.State.values.(v) <-
+      Core.State.clamp st v (cur +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs cur +. 0.1)));
+    f ss w st
+  done
+
+(* The screen and the exact sync share one element kernel and one dirty
+   walk. Screening the state just evaluated exactly finds nothing dirty,
+   so it must read back the exact total bit for bit. *)
+let test_screen_of_accepted name =
+  at_single_moves name (fun ss w st ->
+      let exact = (Core.Eval.Incr.cost ss w st).Core.Eval.total in
+      check_bits name "screen of the accepted state" exact (Core.Eval.Incr.probe_cost ss w st))
+
+(* The screen warms the shared device memo with the very keys the exact
+   sync of the same candidate asks for, so confirming a screened candidate
+   evaluates no device model. *)
+let test_confirm_after_screen name =
+  at_single_moves name (fun ss w st ->
+      ignore (Core.Eval.Incr.probe_cost ss w st);
+      let misses () = (Core.Eval.Incr.stats ss).Core.Eval.Incr.op_misses in
+      let before = misses () in
+      ignore (Core.Eval.Incr.cost ss w st);
+      Alcotest.(check int) (name ^ ": op misses of the confirm") before (misses ()))
+
 let () =
-  let walks =
+  let synthesized =
     List.filter_map
       (fun (e : Suite.Ckts.entry) ->
-        if e.Suite.Ckts.synthesized then Some (walk_case e.Suite.Ckts.name) else None)
+        if e.Suite.Ckts.synthesized then Some e.Suite.Ckts.name else None)
       Suite.Ckts.all
   in
-  let probe_walks =
-    List.filter_map
-      (fun (e : Suite.Ckts.entry) ->
-        if e.Suite.Ckts.synthesized then Some (probe_walk_case e.Suite.Ckts.name) else None)
-      Suite.Ckts.all
+  let per_circuit what speed f =
+    List.map
+      (fun name -> Alcotest.test_case (what ^ " " ^ name) speed (fun () -> f name))
+      synthesized
   in
   Alcotest.run "incr"
     [
-      ("bit-identity walks", walks);
-      ("probe-then-confirm walks", probe_walks);
+      ("bit-identity walks", per_circuit "walk" `Slow (fun name -> random_walk name));
+      ("probe-then-confirm walks", per_circuit "probe walk" `Slow (fun name -> probe_walk name));
       ( "measured view",
         [
           Alcotest.test_case "measure identical" `Quick test_measure_identical;
@@ -370,6 +400,11 @@ let () =
             Alcotest.test_case ("cheaper than full eval " ^ name) `Quick (fun () ->
                 test_screen_cheaper name))
           [ "simple-ota"; "two-stage"; "folded-cascode"; "tran-buffer" ] );
+      ( "shared kernel",
+        per_circuit "screen of the accepted state is its exact cost" `Quick
+          test_screen_of_accepted
+        @ per_circuit "confirm after screen evaluates no device model" `Quick
+            test_confirm_after_screen );
       ( "synthesis equivalence",
         [
           Alcotest.test_case "simple-ota" `Slow (fun () ->
