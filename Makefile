@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test golden-check bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke test-stress clean
+.PHONY: all build test golden-check bench bench-quick bench-perf-check bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke test-stress clean
 
 # One UTC stamp per make invocation; every bench target passes it down so
 # each artifact lands both at <name>-latest.json and as an immutable
@@ -51,16 +51,6 @@ PERF_FLOOR ?= 2.0
 bench-perf-check:
 	dune exec bench/main.exe -- perf-parallel --moves 2000 --runs 4 --floor $(PERF_FLOOR) --runstamp $(RUNSTAMP)
 
-# Move-scoped incremental evaluation vs full recompute (docs/PERFORMANCE.md);
-# writes bench/results/perf-incremental-latest.json with per-circuit
-# speedups, cache counters and the bit-identity checks — including the
-# batched probe-then-confirm tournaments. PERF_INCR_FLOOR gates the best
-# probed-vs-full throughput gain; unlike PERF_FLOOR it needs no core-count
-# scaling (the win is algorithmic, not parallelism).
-PERF_INCR_FLOOR ?= 2.5
-bench-perf-incremental:
-	dune exec bench/main.exe -- perf-incremental --moves 4000 --floor $(PERF_INCR_FLOOR) --runstamp $(RUNSTAMP)
-
 # Record simple-ota traces sequentially and domain-parallel, then replay
 # both against the compiled cost function (docs/OBSERVABILITY.md) — the
 # telemetry side of the --jobs determinism guarantee.
@@ -104,8 +94,8 @@ bench-sweep:
 # from the parent winner (values + learned Hustin distribution) on a
 # spec-retargeted problem, scored by moves-to-target, plus the warm-off
 # bit-identity guard; writes bench/results/warm-start-latest.json.
-# WARM_FLOOR gates the best cold/warm ratio — like PERF_INCR_FLOOR it
-# needs no core-count scaling (the win is sample efficiency).
+# WARM_FLOOR gates the best cold/warm ratio; unlike PERF_FLOOR it needs
+# no core-count scaling (the win is sample efficiency).
 WARM_FLOOR ?= 1.5
 bench-warm-start:
 	dune exec bench/main.exe -- warm-start --floor $(WARM_FLOOR) --runstamp $(RUNSTAMP)

@@ -16,7 +16,8 @@ let moves : int option ref = ref None
 let jobs : int option ref = ref None
 
 (* --floor F: perf-parallel exits 1 when the jobs=4 speedup falls below
-   F scaled by the host's core count (CI's regression gate). *)
+   F scaled by the host's core count, warm-start when no circuit's
+   cold/warm ratio reaches F (CI's regression gates). *)
 let floor_opt : float option ref = ref None
 let base_seed = 1988 (* a fixed arbitrary seed *)
 
@@ -34,29 +35,17 @@ let stamped_path path stamp =
   in
   Filename.concat (Filename.dirname path) (name ^ "-" ^ stamp ^ ".json")
 
-(* For artifacts streamed by hand (perf-parallel): copy the finished file. *)
-let stamp_copy path =
-  match !runstamp with
-  | None -> ()
-  | Some stamp ->
-      let dst = stamped_path path stamp in
-      let ic = open_in_bin path in
-      let body = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let oc = open_out_bin dst in
-      output_string oc body;
-      close_out oc;
-      Printf.printf "wrote %s\n" dst
-
 let write_artifact path json =
   (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
   (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  stamp_copy path
+  let body = Obs.Json.to_string json ^ "\n" in
+  List.iter
+    (fun dst ->
+      let oc = open_out dst in
+      output_string oc body;
+      close_out oc;
+      Printf.printf "wrote %s\n" dst)
+    (path :: Option.to_list (Option.map (stamped_path path) !runstamp))
 
 let sep title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
@@ -427,78 +416,8 @@ let ablation () =
   Printf.printf "    relaxed-dc speedup: %.1fx\n" (full /. relaxed)
 
 (* ------------------------------------------------------------------ *)
-(* Perf microbenches (Bechamel)                                        *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  sep "PERF -- Bechamel microbenchmarks (time per run)";
-  let e = Option.get (Suite.Ckts.find "simple-ota") in
-  let p = compile_exn e in
-  let st = Core.State.snapshot p.Core.Problem.state0 in
-  ignore (Core.Moves.newton_global p st);
-  let w = Core.Weights.create () in
-  let value ex = Netlist.Expr.eval (Core.Eval.value_env p st) ex in
-  let jig = (List.hd p.Core.Problem.jigs).Core.Problem.jig_circuit in
-  let bp = Core.Eval.bias_point p st in
-  let ops name = List.assoc_opt name bp.Core.Eval.ops in
-  let lin = Mna.Linearize.build ~value ~ops jig in
-  let b = Mna.Linearize.excitation_of lin ~src:"vin" in
-  let out = Netlist.Circuit.find_node jig "out" in
-  let sel = Mna.Linearize.output_vector lin ~pos:out ~neg:None in
-  let freqs = Array.init 30 (fun k -> 10.0 ** (3.0 +. (float_of_int k /. 4.0))) in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"astrx-oblx"
-      [
-        Test.make ~name:"table1:astrx-compile"
-          (Staged.stage (fun () -> ignore (Core.Compile.compile_source Suite.Simple_ota.source)));
-        Test.make ~name:"table2:oblx-cost-eval"
-          (Staged.stage (fun () -> ignore (Core.Eval.cost p w st)));
-        Test.make ~name:"fig2:kcl-residuals"
-          (Staged.stage (fun () -> ignore (Core.Eval.residuals_quick p st)));
-        Test.make ~name:"fig2:newton-step"
-          (Staged.stage (fun () -> ignore (Core.Moves.newton_step p st ~damping:1.0)));
-        Test.make ~name:"fig3:awe-rom-build"
-          (Staged.stage (fun () -> ignore (Awe.Rom.build lin ~b ~sel)));
-        Test.make ~name:"fig3:direct-ac-sweep30"
-          (Staged.stage (fun () -> ignore (Mna.Ac.sweep lin ~b ~sel freqs)));
-        Test.make ~name:"fig3:full-dc-solve"
-          (Staged.stage (fun () ->
-               ignore (Mna.Dc.solve ~value ~registry:p.Core.Problem.registry jig)));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some (t :: _) -> Printf.printf "%-40s %12.3f us/run\n" name (t /. 1e3)
-      | Some [] | None -> Printf.printf "%-40s (no estimate)\n" name)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
-  print_endline
-    "\nThe AWE-based OBLX evaluation sits orders of magnitude below a full\n\
-     Newton + frequency-sweep simulation of the same jig -- the efficiency\n\
-     claim that makes annealing-based synthesis affordable."
-
-(* ------------------------------------------------------------------ *)
 (* Perf: domain-parallel multi-start speedup (JSON artifact)            *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
 
 (* Every perf artifact carries the same [baseline] block so results from
    different hosts / configurations are comparable at a glance. Evaluation
@@ -712,41 +631,30 @@ let perf_parallel () =
     |> fst
   in
   Printf.printf "\nrecommended domains (measured): %d\n" recommended_domains;
-  (* JSON artifact, M14-harness style: bench/results/<name>-latest.json. *)
-  (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
-  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let oc = open_out artifact_path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"perf-parallel\",\n";
-  out "  \"baseline\": %s,\n"
-    (Obs.Json.to_string (baseline_json ~jobs:(Core.Oblx.default_jobs ())));
-  out "  \"seed\": %d,\n" base_seed;
-  out "  \"runs\": %d,\n" p_runs;
-  out "  \"moves\": %d,\n" p_moves;
-  out "  \"host_cores\": %d,\n" host_cores;
-  out "  \"recommended_domains\": %d,\n" recommended_domains;
-  out "  \"circuits\": [\n";
-  List.iteri
-    (fun ci (name, rows, base_wall, deterministic) ->
-      out "    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape name);
-      out "      \"deterministic_winner\": %b,\n" deterministic;
-      out "      \"results\": [\n";
-      List.iteri
-        (fun ri r ->
-          out "        %s%s\n"
-            (Obs.Json.to_string (pp_row_json ~base_wall r))
-            (if ri = List.length rows - 1 then "" else ","))
-        rows;
-      out "      ]\n";
-      out "    }%s\n" (if ci = List.length measured - 1 then "" else ","))
-    measured;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" artifact_path;
-  stamp_copy artifact_path;
+  write_artifact artifact_path
+    Obs.Json.(
+      let num_i n = Num (float_of_int n) in
+      Obj
+        [
+          ("bench", Str "perf-parallel");
+          ("baseline", baseline_json ~jobs:(Core.Oblx.default_jobs ()));
+          ("seed", num_i base_seed);
+          ("runs", num_i p_runs);
+          ("moves", num_i p_moves);
+          ("host_cores", num_i host_cores);
+          ("recommended_domains", num_i recommended_domains);
+          ( "circuits",
+            Arr
+              (List.map
+                 (fun (name, rows, base_wall, deterministic) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("deterministic_winner", Bool deterministic);
+                       ("results", Arr (List.map (pp_row_json ~base_wall) rows));
+                     ])
+                 measured) );
+        ]);
   (* Regression gate (--floor F): the requested jobs=4 floor is scaled by
      the cores actually present — on a c-core host, 4 domains can at best
      approach min(4,c)x, so the effective floor is F * min(4,c)/4. *)
@@ -766,435 +674,6 @@ let perf_parallel () =
       if fresh < effective then begin
         Printf.eprintf "perf-parallel: FAIL: jobs=%d speedup %.2fx below floor %.2fx\n" gate_jobs
           fresh effective;
-        exit 1
-      end
-      else Printf.printf "floor check: PASS\n"
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry: annealing observability summary (JSON artifact)           *)
-(* ------------------------------------------------------------------ *)
-
-let telemetry () =
-  sep "TELEMETRY -- annealing observability summary (simple-ota)";
-  let e = Option.get (Suite.Ckts.find "simple-ota") in
-  let p = compile_exn e in
-  let t_moves = Option.value !moves ~default:20_000 in
-  let t_runs = Int.max 1 !runs in
-  let summary = Obs.Sink.Summary.create () in
-  (* Summary sink at [Moves] level: full per-move statistics, O(1) memory. *)
-  let obs = Obs.Trace.make ~level:Obs.Event.Moves [ Obs.Sink.Summary.sink summary ] in
-  let t0 = Unix.gettimeofday () in
-  let best, _ = Core.Oblx.best_of ~seed:(base_seed + 5) ~moves:t_moves ?jobs:!jobs ~obs ~runs:t_runs p in
-  let wall = Unix.gettimeofday () -. t0 in
-  let stats = Obs.Sink.Summary.stats summary in
-  let moves_per_sec = float_of_int stats.Obs.Sink.Summary.moves /. Float.max 1e-9 wall in
-  Printf.printf "runs=%d moves/run=%d wall=%.2fs -> %.0f moves/s (%d evals total)\n" t_runs
-    t_moves wall moves_per_sec stats.Obs.Sink.Summary.moves;
-  Printf.printf "best cost %.4g; accept ratio %.2f overall\n" best.Core.Oblx.best_cost
-    (float_of_int stats.accepted /. float_of_int (Int.max 1 stats.moves));
-  Printf.printf "\n  move-class mix:\n";
-  List.iter
-    (fun (c : Obs.Sink.Summary.class_row) ->
-      Printf.printf "  %-10s %7d attempts %7d accepted %6d inapplicable\n" c.cr_name
-        c.cr_attempts c.cr_accepted c.cr_inapplicable)
-    stats.class_rows;
-  Printf.printf "\n  accept ratio by stage (restart 0):\n";
-  Printf.printf "  %6s %8s %12s %10s %12s\n" "stage" "moves" "temperature" "accept" "best";
-  let r0 =
-    List.filter (fun (s : Obs.Sink.Summary.stage_row) -> s.sr_restart = 0) stats.stage_rows
-  in
-  let every = Int.max 1 (List.length r0 / 20) in
-  List.iteri
-    (fun i (s : Obs.Sink.Summary.stage_row) ->
-      if i mod every = 0 then
-        Printf.printf "  %6d %8d %12.4g %10.3f %12.6g\n" s.sr_stage s.sr_moves s.sr_temperature
-          s.sr_acceptance s.sr_best)
-    r0;
-  (* Incremental-evaluation cache behaviour, summed over restarts (the
-     Evals events each restart emits per stage; the sink keeps the
-     latest per restart). *)
-  let ev_sum f = List.fold_left (fun a (_, d) -> a + f d) 0 stats.eval_rows in
-  let ev_full = ev_sum (fun (d : Obs.Event.evals_data) -> d.full)
-  and ev_incr = ev_sum (fun d -> d.Obs.Event.incr)
-  and ev_oh = ev_sum (fun d -> d.Obs.Event.op_hits)
-  and ev_om = ev_sum (fun d -> d.Obs.Event.op_misses)
-  and ev_rb = ev_sum (fun d -> d.Obs.Event.rom_builds)
-  and ev_rr = ev_sum (fun d -> d.Obs.Event.rom_reuses)
-  and ev_se = ev_sum (fun d -> d.Obs.Event.spec_evals)
-  and ev_sr = ev_sum (fun d -> d.Obs.Event.spec_reuses)
-  and ev_rs = ev_sum (fun d -> d.Obs.Event.resyncs)
-  and ev_mm = ev_sum (fun d -> d.Obs.Event.resync_mismatches) in
-  let pct a b = 100.0 *. float_of_int a /. float_of_int (Int.max 1 (a + b)) in
-  Printf.printf "\n  incremental evaluation (all restarts):\n";
-  Printf.printf "  %d incremental + %d full evals; op cache %.1f%% hit; ROM reuse %.1f%%; \
-                 spec reuse %.1f%%; %d resyncs, %d mismatches\n"
-    ev_incr ev_full (pct ev_oh ev_om) (pct ev_rr ev_rb) (pct ev_sr ev_se) ev_rs ev_mm;
-  (* JSON artifact next to perf-parallel's. *)
-  (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
-  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let path = "bench/results/telemetry-latest.json" in
-  let num v = Obs.Json.Num v in
-  let int v = num (float_of_int v) in
-  let json =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.Str "telemetry");
-        ("baseline", baseline_json ~jobs:(Option.value !jobs ~default:(Core.Oblx.default_jobs ())));
-        ("circuit", Obs.Json.Str "simple-ota");
-        ("seed", int (base_seed + 5));
-        ("runs", int t_runs);
-        ("moves_per_run", int t_moves);
-        ("wall_s", num wall);
-        ("moves_per_sec", num moves_per_sec);
-        ("best_cost", num best.Core.Oblx.best_cost);
-        ( "evals",
-          Obs.Json.Obj
-            [
-              ("full", int ev_full);
-              ("incr", int ev_incr);
-              ("op_hits", int ev_oh);
-              ("op_misses", int ev_om);
-              ("rom_builds", int ev_rb);
-              ("rom_reuses", int ev_rr);
-              ("spec_evals", int ev_se);
-              ("spec_reuses", int ev_sr);
-              ("resyncs", int ev_rs);
-              ("resync_mismatches", int ev_mm);
-            ] );
-        ( "classes",
-          Obs.Json.Arr
-            (List.map
-               (fun (c : Obs.Sink.Summary.class_row) ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.Str c.cr_name);
-                     ("attempts", int c.cr_attempts);
-                     ("accepted", int c.cr_accepted);
-                     ("inapplicable", int c.cr_inapplicable);
-                   ])
-               stats.class_rows) );
-        ( "stages",
-          Obs.Json.Arr
-            (List.map
-               (fun (s : Obs.Sink.Summary.stage_row) ->
-                 Obs.Json.Obj
-                   [
-                     ("restart", int s.sr_restart);
-                     ("stage", int s.sr_stage);
-                     ("moves", int s.sr_moves);
-                     ("temperature", num s.sr_temperature);
-                     ("acceptance", num s.sr_acceptance);
-                     ("cost", num s.sr_cost);
-                     ("best", num s.sr_best);
-                   ])
-               stats.stage_rows) );
-      ]
-  in
-  write_artifact path json
-
-(* ------------------------------------------------------------------ *)
-(* Perf-incremental: move-scoped evaluation vs full recompute           *)
-(* ------------------------------------------------------------------ *)
-
-let perf_incremental () =
-  sep "PERF-INCREMENTAL -- move-scoped evaluation vs full recompute";
-  let n_moves = Option.value !moves ~default:4_000 in
-  let circuits = [ "simple-ota"; "two-stage"; "folded-cascode"; "ladder-bias-amp" ] in
-  Printf.printf "moves=%d (uniform single-variable perturbation walk, ~50%% undone)\n" n_moves;
-  (* The walk mirrors the annealer's dominant move: perturb one uniformly
-     chosen variable, evaluate the cost, undo about half the moves. Both
-     evaluators see the identical state sequence (same RNG seed), so the
-     running cost sum must agree bit for bit. *)
-  let walk p (eval_fn : string -> Core.State.t -> float) =
-    let st = Core.State.snapshot p.Core.Problem.state0 in
-    let rng = Anneal.Rng.create (base_seed + 17) in
-    let n = Core.State.n_vars st in
-    let acc = ref 0.0 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n_moves do
-      let v = Anneal.Rng.int rng n in
-      let cls =
-        match st.Core.State.info.(v) with
-        | Core.State.User _ -> "user-var"
-        | Core.State.Node_voltage _ -> "node-v"
-      in
-      let prev = st.Core.State.values.(v) in
-      st.Core.State.values.(v) <-
-        Core.State.clamp st v
-          (prev +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs prev +. 0.1)));
-      acc := !acc +. eval_fn cls st;
-      if Anneal.Rng.bool rng then st.Core.State.values.(v) <- prev
-    done;
-    (Unix.gettimeofday () -. t0, !acc)
-  in
-  let measured =
-    List.map
-      (fun name ->
-        let e = Option.get (Suite.Ckts.find name) in
-        let p = compile_exn e in
-        let w = Core.Weights.create () in
-        let full_wall, full_acc =
-          walk p (fun _ st -> (Core.Eval.cost p w st).Core.Eval.total)
-        in
-        let ss = Core.Eval.Incr.create p in
-        let incr_wall, incr_acc =
-          walk p (fun cls st ->
-              Core.Eval.Incr.set_class ss cls;
-              Core.Eval.Incr.cost_scalar ss w st)
-        in
-        let identical =
-          Int64.equal (Int64.bits_of_float full_acc) (Int64.bits_of_float incr_acc)
-        in
-        let s = Core.Eval.Incr.stats ss in
-        let rate wall = float_of_int n_moves /. Float.max 1e-9 wall in
-        let speedup = full_wall /. Float.max 1e-9 incr_wall in
-        Printf.printf "\n-- %s (%d vars)\n" name (Core.State.n_vars p.Core.Problem.state0);
-        Printf.printf "   full        %8.0f moves/s (%.2f s)\n" (rate full_wall) full_wall;
-        Printf.printf "   incremental %8.0f moves/s (%.2f s)  -> %.2fx\n" (rate incr_wall)
-          incr_wall speedup;
-        Printf.printf "   walk cost sum bit-identical: %b\n" identical;
-        let pct a b = 100.0 *. float_of_int a /. float_of_int (Int.max 1 (a + b)) in
-        Printf.printf
-          "   op cache %.1f%% hit; ROM reuse %.1f%%; spec reuse %.1f%%; %d resyncs, %d \
-           mismatches\n"
-          (pct s.Core.Eval.Incr.op_hits s.Core.Eval.Incr.op_misses)
-          (pct s.Core.Eval.Incr.rom_reuses s.Core.Eval.Incr.rom_builds)
-          (pct s.Core.Eval.Incr.spec_reuses s.Core.Eval.Incr.spec_evals)
-          s.Core.Eval.Incr.resyncs s.Core.Eval.Incr.resync_mismatches;
-        List.iter
-          (fun (c : Core.Eval.Incr.class_row) ->
-            Printf.printf "   class %-9s %6d evals, %.2f dirty vars/eval\n" c.cr_class
-              c.cr_evals
-              (float_of_int c.cr_dirty_vars /. float_of_int (Int.max 1 c.cr_evals)))
-          s.Core.Eval.Incr.by_class;
-        if not identical then failwith (name ^ ": incremental walk diverged from full");
-        if s.Core.Eval.Incr.resync_mismatches > 0 then
-          failwith (name ^ ": resync caught a divergence");
-        (name, full_wall, incr_wall, speedup, identical, s))
-      circuits
-  in
-  (* Probed walk: the annealer's batched tournament. Each decision screens
-     [probe_batch] candidate perturbations with the probe evaluator (a
-     fresh reduced-order fit of each touched jig), then confirms only the
-     screened winner through the exact incremental path. Every candidate
-     counts as a move — that is the throughput the annealer sees. The
-     timed pass does no verification; an untimed replay of the identical
-     trajectory (same seed, fresh session) re-confirms every decision
-     against the full evaluator bit for bit, and the two walks' running
-     cost sums must agree exactly. *)
-  let probe_batch = Core.Oblx.default_probe_batch in
-  let probed_walk p ss w ~verify =
-    let st = Core.State.snapshot p.Core.Problem.state0 in
-    let rng = Anneal.Rng.create (base_seed + 17) in
-    let n = Core.State.n_vars st in
-    let acc = ref 0.0 in
-    let decisions = Int.max 1 (n_moves / probe_batch) in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to decisions do
-      let base = Core.State.snapshot st in
-      let best_c = ref Float.infinity and best_st = ref base in
-      for _ = 1 to probe_batch do
-        Core.State.restore ~from:base st;
-        let v = Anneal.Rng.int rng n in
-        let prev = st.Core.State.values.(v) in
-        st.Core.State.values.(v) <-
-          Core.State.clamp st v
-            (prev +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs prev +. 0.1)));
-        let c = Core.Eval.Incr.probe_cost ss w st in
-        if c < !best_c then begin
-          best_c := c;
-          best_st := Core.State.snapshot st
-        end
-      done;
-      Core.State.restore ~from:!best_st st;
-      Core.Eval.Incr.set_class ss "confirm";
-      let c = Core.Eval.Incr.cost_scalar ss w st in
-      if verify then begin
-        let cf = (Core.Eval.cost p w st).Core.Eval.total in
-        if not (Int64.equal (Int64.bits_of_float c) (Int64.bits_of_float cf)) then
-          failwith "probed confirmation diverged from the full evaluator"
-      end;
-      acc := !acc +. c;
-      (* reject about half the tournaments, like the plain walks *)
-      if Anneal.Rng.bool rng then Core.State.restore ~from:base st
-    done;
-    (Unix.gettimeofday () -. t0, !acc, decisions * probe_batch)
-  in
-  Printf.printf "\nprobed tournaments: %d candidates screened per exact confirmation\n"
-    probe_batch;
-  let probed =
-    List.map
-      (fun (name, full_wall, _, _, _, (incr_s : Core.Eval.Incr.stats)) ->
-        let e = Option.get (Suite.Ckts.find name) in
-        let p = compile_exn e in
-        let w = Core.Weights.create () in
-        let ss = Core.Eval.Incr.create p in
-        let probed_wall, probed_acc, probed_moves = probed_walk p ss w ~verify:false in
-        let sp = Core.Eval.Incr.stats ss in
-        (* untimed bitwise verification replay of the same trajectory *)
-        let ss_v = Core.Eval.Incr.create p in
-        let _, verify_acc, _ = probed_walk p ss_v w ~verify:true in
-        let identical =
-          Int64.equal (Int64.bits_of_float probed_acc) (Int64.bits_of_float verify_acc)
-        in
-        if not identical then failwith (name ^ ": timed probed walk diverged from verified replay");
-        let full_rate = float_of_int n_moves /. Float.max 1e-9 full_wall in
-        let probed_rate = float_of_int probed_moves /. Float.max 1e-9 probed_wall in
-        let speedup = probed_rate /. Float.max 1e-9 full_rate in
-        (* exact ROM rebuilds per candidate move: batching confirms once
-           per tournament, so the exact path refits k times less often *)
-        let rb_rate_incr = float_of_int incr_s.Core.Eval.Incr.rom_builds /. float_of_int n_moves in
-        let rb_rate_probed =
-          float_of_int sp.Core.Eval.Incr.rom_builds /. float_of_int probed_moves
-        in
-        let rom_builds_drop = rb_rate_incr /. Float.max 1e-12 rb_rate_probed in
-        Printf.printf "\n-- %s probed\n" name;
-        Printf.printf "   probed      %8.0f moves/s (%.2f s)  -> %.2fx vs full\n" probed_rate
-          probed_wall speedup;
-        Printf.printf "   verified replay bit-identical: %b\n" identical;
-        Printf.printf "   %d screens, %d probe refits\n" sp.Core.Eval.Incr.probes
-          sp.Core.Eval.Incr.probe_rom_builds;
-        Printf.printf "   exact rom_builds per 4k moves: %.1f (plain incr %.1f) -> %.1fx drop\n"
-          (4000.0 *. rb_rate_probed) (4000.0 *. rb_rate_incr) rom_builds_drop;
-        if sp.Core.Eval.Incr.resync_mismatches > 0 then
-          failwith (name ^ ": resync caught a divergence on the probed walk");
-        (name, probed_wall, probed_moves, probed_rate, speedup, rom_builds_drop, sp))
-      measured
-  in
-  (* End-to-end guard: a real annealing run with the incremental evaluator
-     must elect the same winner, bit for bit. *)
-  let eq_name = "ladder-bias-amp" in
-  let eq_moves = Int.min n_moves 2_000 in
-  let eq_p = compile_exn (Option.get (Suite.Ckts.find eq_name)) in
-  (* [probe_batch:1]: batched screening deliberately reshapes the
-     trajectory, so the winner-identity check runs unbatched *)
-  let eq_run inc =
-    Core.Oblx.synthesize ~seed:base_seed ~moves:eq_moves ~incremental:inc ~probe_batch:1 eq_p
-  in
-  let eq_full = eq_run false and eq_incr = eq_run true in
-  let eq_identical =
-    Int64.equal
-      (Int64.bits_of_float eq_full.Core.Oblx.best_cost)
-      (Int64.bits_of_float eq_incr.Core.Oblx.best_cost)
-    && eq_full.Core.Oblx.accepted = eq_incr.Core.Oblx.accepted
-  in
-  Printf.printf "\nsynthesize winner (%s, %d moves) bit-identical: %b\n" eq_name eq_moves
-    eq_identical;
-  if not eq_identical then failwith "synthesize winner differs with incremental evaluation";
-  let best_speedup = List.fold_left (fun a (_, _, _, sp, _, _) -> Float.max a sp) 0.0 measured in
-  Printf.printf "best circuit speedup: %.2fx\n" best_speedup;
-  let best_probed_speedup =
-    List.fold_left (fun a (_, _, _, _, sp, _, _) -> Float.max a sp) 0.0 probed
-  in
-  let best_rom_drop =
-    List.fold_left (fun a (_, _, _, _, _, d, _) -> Float.max a d) 0.0 probed
-  in
-  Printf.printf "best probed speedup vs full: %.2fx (best rom_builds drop %.1fx)\n"
-    best_probed_speedup best_rom_drop;
-  (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
-  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let path = "bench/results/perf-incremental-latest.json" in
-  let num v = Obs.Json.Num v in
-  let int v = num (float_of_int v) in
-  let json =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.Str "perf-incremental");
-        ("baseline", baseline_json ~jobs:1);
-        ("seed", int (base_seed + 17));
-        ("moves", int n_moves);
-        ("best_speedup", num best_speedup);
-        ("probe_batch", int probe_batch);
-        ("best_probed_speedup", num best_probed_speedup);
-        ("best_rom_builds_drop", num best_rom_drop);
-        ( "synthesize_check",
-          Obs.Json.Obj
-            [
-              ("circuit", Obs.Json.Str eq_name);
-              ("moves", int eq_moves);
-              ("winner_bit_identical", Obs.Json.Bool eq_identical);
-            ] );
-        ( "circuits",
-          Obs.Json.Arr
-            (List.map
-               (fun (name, full_wall, incr_wall, speedup, identical, (s : Core.Eval.Incr.stats)) ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.Str name);
-                     ("full_wall_s", num full_wall);
-                     ("full_moves_per_s", num (float_of_int n_moves /. Float.max 1e-9 full_wall));
-                     ("incr_wall_s", num incr_wall);
-                     ("incr_moves_per_s", num (float_of_int n_moves /. Float.max 1e-9 incr_wall));
-                     ("speedup", num speedup);
-                     ("walk_bit_identical", Obs.Json.Bool identical);
-                     ("op_hits", int s.op_hits);
-                     ("op_misses", int s.op_misses);
-                     ("rom_builds", int s.rom_builds);
-                     ("rom_reuses", int s.rom_reuses);
-                     ("spec_evals", int s.spec_evals);
-                     ("spec_reuses", int s.spec_reuses);
-                     ("resyncs", int s.resyncs);
-                     ("resync_mismatches", int s.resync_mismatches);
-                     ( "dirty_hist",
-                       Obs.Json.Arr (Array.to_list (Array.map (fun k -> int k) s.dirty_hist)) );
-                     ( "classes",
-                       Obs.Json.Arr
-                         (List.map
-                            (fun (c : Core.Eval.Incr.class_row) ->
-                              Obs.Json.Obj
-                                [
-                                  ("name", Obs.Json.Str c.cr_class);
-                                  ("evals", int c.cr_evals);
-                                  ("dirty_vars", int c.cr_dirty_vars);
-                                  ("op_hits", int c.cr_op_hits);
-                                  ("op_misses", int c.cr_op_misses);
-                                  ("rom_builds", int c.cr_rom_builds);
-                                  ("rom_reuses", int c.cr_rom_reuses);
-                                ])
-                            s.by_class) );
-                   ])
-               measured) );
-        ( "probed",
-          Obs.Json.Arr
-            (List.map
-               (fun
-                 ( name,
-                   probed_wall,
-                   probed_moves,
-                   probed_rate,
-                   speedup,
-                   rom_drop,
-                   (s : Core.Eval.Incr.stats) )
-               ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.Str name);
-                     ("probed_wall_s", num probed_wall);
-                     ("probed_moves", int probed_moves);
-                     ("probed_moves_per_s", num probed_rate);
-                     ("speedup_vs_full", num speedup);
-                     ("rom_builds", int s.rom_builds);
-                     ("rom_builds_drop", num rom_drop);
-                     ("probes", int s.probes);
-                     ("probe_rom_builds", int s.probe_rom_builds);
-                     ("resyncs", int s.resyncs);
-                     ("resync_mismatches", int s.resync_mismatches);
-                   ])
-               probed) );
-      ]
-  in
-  write_artifact path json;
-  (* Regression gate (--floor F): fail when the best probed-vs-full
-     throughput gain falls below F. Unlike perf-parallel's gate this needs
-     no host-core scaling — the probed path's win is algorithmic (fewer
-     exact evaluations per candidate), not parallelism. *)
-  match !floor_opt with
-  | None -> ()
-  | Some f ->
-      Printf.printf "floor check: best probed speedup %.2fx (floor %.2fx)\n" best_probed_speedup f;
-      if best_probed_speedup < f then begin
-        Printf.eprintf "perf-incremental: FAIL: probed speedup %.2fx below floor %.2fx\n"
-          best_probed_speedup f;
         exit 1
       end
       else Printf.printf "floor check: PASS\n"
@@ -2192,7 +1671,7 @@ let warm_start_bench () =
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|fig2|fig3|models|ablation|perf|perf-parallel|perf-incremental|telemetry|serve|serve-concurrent|serve-fleet|sweep|warm-start|all]\n\
+     [table1|table2|table3|fig2|fig3|models|ablation|perf-parallel|serve|serve-concurrent|serve-fleet|sweep|warm-start|all]\n\
     \       [--runs N] [--moves N] [--jobs N] [--floor F] [--runstamp S]"
 
 let () =
@@ -2228,10 +1707,7 @@ let () =
     | "fig3" -> fig3 ()
     | "models" -> models ()
     | "ablation" -> ablation ()
-    | "perf" -> perf ()
     | "perf-parallel" -> perf_parallel ()
-    | "perf-incremental" -> perf_incremental ()
-    | "telemetry" -> telemetry ()
     | "serve" -> serve ()
     | "serve-concurrent" -> serve_concurrent ()
     | "serve-fleet" -> serve_fleet ()
@@ -2245,10 +1721,7 @@ let () =
         fig3 ();
         models ();
         ablation ();
-        perf ();
         perf_parallel ();
-        perf_incremental ();
-        telemetry ();
         serve ();
         serve_concurrent ();
         serve_fleet ();

@@ -8,8 +8,8 @@
    terminal touches, so the vast majority of node-voltage moves leave
    every operating point — and therefore every AWE model — untouched.
    It is the stress test (and the showcase) for the move-scoped
-   incremental evaluator: see docs/PERFORMANCE.md and the
-   [perf-incremental] bench target. *)
+   incremental evaluator: see docs/PERFORMANCE.md, the test_incr
+   "work per decision" gates and perfbench's bias-synth workload. *)
 
 let name = "ladder-bias-amp"
 

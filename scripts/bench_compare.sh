@@ -3,7 +3,7 @@
 # against the committed baselines (git show HEAD:...): one line per
 # numeric metric that moved, with the relative change. Informational —
 # always exits 0; the pass/fail floors live in the bench gates themselves
-# (PERF_FLOOR, PERF_INCR_FLOOR, WARM_FLOOR). Locally: `make bench-compare`
+# (PERF_FLOOR, WARM_FLOOR). Locally: `make bench-compare`
 # after any bench target; CI runs it so a perf regression is visible in
 # the log next to the gate verdict.
 set -euo pipefail

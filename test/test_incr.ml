@@ -21,6 +21,16 @@ let check_breakdown name (full : Core.Eval.breakdown) (incr : Core.Eval.breakdow
   check_bits name "c_dev" full.Core.Eval.c_dev incr.Core.Eval.c_dev;
   check_bits name "c_dc" full.Core.Eval.c_dc incr.Core.Eval.c_dc
 
+(* The annealer's dominant move: scale a uniformly chosen variable by a
+   random step, clamped to its bounds. Returns the variable and the value
+   it held, so the move can be undone. *)
+let perturb rng (st : Core.State.t) =
+  let v = Anneal.Rng.int rng (Core.State.n_vars st) in
+  let prev = st.Core.State.values.(v) in
+  st.Core.State.values.(v) <-
+    Core.State.clamp st v (prev +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs prev +. 0.1)));
+  (v, prev)
+
 (* A move: perturb one variable (or a couple), sometimes undo the previous
    move, sometimes mutate a weight — everything the annealer does to a
    session between evaluations. *)
@@ -30,7 +40,6 @@ let random_walk ?(moves = 1000) ?(resync_every = 128) name =
   let rng = Anneal.Rng.create 42 in
   let w = ref (Core.Weights.create ()) in
   let ss = Core.Eval.Incr.create ~resync_every p in
-  let n = Core.State.n_vars st in
   let snapshot = ref (Core.State.snapshot st) in
   for step = 1 to moves do
     (match Anneal.Rng.int rng 10 with
@@ -41,20 +50,12 @@ let random_walk ?(moves = 1000) ?(resync_every = 128) name =
         (* multi-variable move *)
         snapshot := Core.State.snapshot st;
         for _ = 0 to 1 + Anneal.Rng.int rng 2 do
-          let v = Anneal.Rng.int rng n in
-          let cur = st.Core.State.values.(v) in
-          st.Core.State.values.(v) <-
-            Core.State.clamp st v
-              (cur +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs cur +. 0.1)))
+          ignore (perturb rng st)
         done
     | _ ->
         (* single-variable move, the annealer's common case *)
         snapshot := Core.State.snapshot st;
-        let v = Anneal.Rng.int rng n in
-        let cur = st.Core.State.values.(v) in
-        st.Core.State.values.(v) <-
-          Core.State.clamp st v
-            (cur +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs cur +. 0.1))));
+        ignore (perturb rng st));
     if step mod 97 = 0 then
       (* the annealer re-weights between stages; caches must not care *)
       w :=
@@ -97,7 +98,6 @@ let probe_walk ?(moves = 400) name =
   let rng = Anneal.Rng.create 1234 in
   let w = Core.Weights.create () in
   let ss = Core.Eval.Incr.create p in
-  let n = Core.State.n_vars st in
   (* prime the session: probing screens against its cached state *)
   ignore (Core.Eval.Incr.cost ss w st);
   for _step = 1 to moves do
@@ -107,11 +107,7 @@ let probe_walk ?(moves = 400) name =
     for _ = 1 to k do
       Core.State.restore ~from:base st;
       for _ = 0 to Anneal.Rng.int rng 2 do
-        let v = Anneal.Rng.int rng n in
-        let cur = st.Core.State.values.(v) in
-        st.Core.State.values.(v) <-
-          Core.State.clamp st v
-            (cur +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs cur +. 0.1)))
+        ignore (perturb rng st)
       done;
       let c = Core.Eval.Incr.probe_cost ss w st in
       match !best with
@@ -311,6 +307,12 @@ let test_transient_memo_not_stale () =
   Core.Eval.Incr.reset ss;
   cost "cost B after reset" b
 
+(* Minor-heap words [f ()] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
 (* Screening pays only while a screen costs less than the exact
    evaluation it stands in for. Counted in minor-heap words, which do not
    depend on the host: a primed session, variable 0 scaled by 5%, and the
@@ -324,15 +326,104 @@ let test_screen_cheaper name =
   ignore (Core.Eval.Incr.cost ss w st);
   st.Core.State.values.(0) <- Core.State.clamp st 0 (st.Core.State.values.(0) *. 1.05);
   ignore (Core.Eval.Incr.probe_cost ss w st);
-  let words f =
-    let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor_words () -. before
-  in
-  let probe = words (fun () -> Core.Eval.Incr.probe_cost ss w st) in
-  let full = words (fun () -> (Core.Eval.cost p w st).Core.Eval.total) in
+  let probe = minor_words (fun () -> Core.Eval.Incr.probe_cost ss w st) in
+  let full = minor_words (fun () -> (Core.Eval.cost p w st).Core.Eval.total) in
   if not (probe < full) then
     Alcotest.failf "%s: probe_cost allocates %.0f words, Eval.cost %.0f" name probe full
+
+(* Work per decision. A screened decision costs [probe_batch] screens and
+   one exact confirmation; the screen pays only while that stays well
+   below one exact evaluation per candidate. Throughput ratios swing by
+   half between identical runs on a shared host, so these gates count work
+   that is fixed for a seed and a build: minor-heap words and exact ROM
+   builds, over 1,000 candidates of the annealer's dominant move with
+   about half the moves undone. *)
+let work_seed = 1988 + 17
+let work_candidates = 1000
+
+(* One evaluation per candidate. *)
+let plain_walk p eval =
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let rng = Anneal.Rng.create work_seed in
+  for _ = 1 to work_candidates do
+    let v, prev = perturb rng st in
+    ignore (eval st);
+    if Anneal.Rng.bool rng then st.Core.State.values.(v) <- prev
+  done
+
+(* The annealer's tournament: each decision screens [probe_batch]
+   candidates from one base state, confirms the best-screened one exactly,
+   and is rejected about half the time. *)
+let screened_walk p ss w =
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let rng = Anneal.Rng.create work_seed in
+  let k = Core.Oblx.default_probe_batch in
+  for _ = 1 to work_candidates / k do
+    let base = Core.State.snapshot st in
+    let best_c = ref Float.infinity and best_st = ref base in
+    for _ = 1 to k do
+      Core.State.restore ~from:base st;
+      ignore (perturb rng st);
+      let c = Core.Eval.Incr.probe_cost ss w st in
+      if c < !best_c then begin
+        best_c := c;
+        best_st := Core.State.snapshot st
+      end
+    done;
+    Core.State.restore ~from:!best_st st;
+    Core.Eval.Incr.set_class ss "confirm";
+    ignore (Core.Eval.Incr.cost_scalar ss w st);
+    if Anneal.Rng.bool rng then Core.State.restore ~from:base st
+  done
+
+(* (a) On the best circuit, an exact evaluation must allocate at least
+   [words_floor] times what a screened candidate does, confirmation
+   included. Both walks cover [work_candidates] candidates, so the ratio
+   of their totals is the per-candidate ratio. The count is exact, so the
+   floor needs no noise margin: ladder-bias-amp reads 8.1, and a screen
+   that falls through to the exact incremental path reads 5.6 there. *)
+let words_floor = 7.0
+
+let test_screen_words () =
+  let ratio name =
+    let p = compile name in
+    let w = Core.Weights.create () in
+    let exact = minor_words (fun () -> plain_walk p (fun st -> Core.Eval.cost p w st)) in
+    let ss = Core.Eval.Incr.create p in
+    let screened = minor_words (fun () -> screened_walk p ss w) in
+    Printf.printf "%s: %.0f exact / %.0f screened words per candidate = %.2f\n" name
+      (exact /. float_of_int work_candidates)
+      (screened /. float_of_int work_candidates)
+      (exact /. screened);
+    exact /. screened
+  in
+  let ratios = List.map ratio [ "simple-ota"; "two-stage"; "folded-cascode"; "ladder-bias-amp" ] in
+  let best = List.fold_left Float.max 0.0 ratios in
+  if best < words_floor then
+    Alcotest.failf "best exact/screened words ratio %.2f is below the floor %.1f" best words_floor
+
+(* (b) On ladder-bias-amp, the screened walk must build at most
+   1/[rom_builds_drop] as many exact ROMs per candidate as the plain
+   incremental walk does per move: the exact path refits once per
+   decision, not once per candidate. *)
+let rom_builds_drop = 2.5
+
+let test_screen_rom_builds () =
+  let name = "ladder-bias-amp" in
+  let p = compile name in
+  let w = Core.Weights.create () in
+  let builds walk =
+    let ss = Core.Eval.Incr.create p in
+    walk ss;
+    (Core.Eval.Incr.stats ss).Core.Eval.Incr.rom_builds
+  in
+  let plain = builds (fun ss -> plain_walk p (Core.Eval.Incr.cost_scalar ss w)) in
+  let screened = builds (fun ss -> screened_walk p ss w) in
+  Printf.printf "%s: %d exact ROM builds plain, %d screened, per %d candidates\n" name plain
+    screened work_candidates;
+  if float_of_int screened *. rom_builds_drop > float_of_int plain then
+    Alcotest.failf "%s: %d exact ROM builds screened vs %d plain; the floor is 1/%.1f" name
+      screened plain rom_builds_drop
 
 (* [f ss w st] at [state0] and after each of 50 random single-variable
    moves, on one session. *)
@@ -342,13 +433,9 @@ let at_single_moves name f =
   let rng = Anneal.Rng.create 99 in
   let w = Core.Weights.create () in
   let ss = Core.Eval.Incr.create p in
-  let n = Core.State.n_vars st in
   f ss w st;
   for _ = 1 to 50 do
-    let v = Anneal.Rng.int rng n in
-    let cur = st.Core.State.values.(v) in
-    st.Core.State.values.(v) <-
-      Core.State.clamp st v (cur +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs cur +. 0.1)));
+    ignore (perturb rng st);
     f ss w st
   done
 
@@ -400,6 +487,12 @@ let () =
             Alcotest.test_case ("cheaper than full eval " ^ name) `Quick (fun () ->
                 test_screen_cheaper name))
           [ "simple-ota"; "two-stage"; "folded-cascode"; "tran-buffer" ] );
+      ( "work per decision",
+        [
+          Alcotest.test_case "exact words per screened candidate" `Slow test_screen_words;
+          Alcotest.test_case "exact ROM builds per screened candidate" `Slow
+            test_screen_rom_builds;
+        ] );
       ( "shared kernel",
         per_circuit "screen of the accepted state is its exact cost" `Quick
           test_screen_of_accepted
@@ -411,6 +504,8 @@ let () =
               test_synthesize_equivalent "simple-ota");
           Alcotest.test_case "two-stage" `Slow (fun () ->
               test_synthesize_equivalent "two-stage");
+          Alcotest.test_case "ladder-bias-amp" `Slow (fun () ->
+              test_synthesize_equivalent "ladder-bias-amp");
           Alcotest.test_case "batched accepted exact simple-ota" `Slow (fun () ->
               test_batched_accepted_exact "simple-ota");
           Alcotest.test_case "batched accepted exact two-stage" `Slow (fun () ->

@@ -398,103 +398,48 @@ let test_pool_restart_interrupted () =
 
 (* --- Daemon over the socket --- *)
 
-let test_server_end_to_end () =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "oblxd-test-%d.sock" (Unix.getpid ()))
-  in
-  let cfg =
-    {
-      Serve.Server.socket_path = socket;
-      tcp = None;
-      auth_token = None;
-      max_connections = Serve.Server.default_max_connections;
-      idle_timeout_s = Serve.Server.default_idle_timeout_s;
-      pool =
-        { Serve.Pool.default_config with workers = 1; queue_capacity = 8; state_dir = None };
-    }
-  in
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let ready = ref false in
-  let server =
-    Domain.spawn (fun () ->
-        Serve.Server.run
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          cfg)
-  in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  (* Submit twice: the second compile must hit the cache. *)
-  let id1 = ok (Serve.Client.submit ~socket (submission ~moves:300 ())) in
-  let j1 = ok (Serve.Client.wait ~socket id1) in
-  Alcotest.(check (option string)) "first done" (Some "done") (jstr j1 "state");
-  Alcotest.(check (option string)) "first missed the cache" (Some "miss") (jstr j1 "cache");
-  let id2 = ok (Serve.Client.submit ~socket (submission ~moves:300 ~seed:2 ())) in
-  let j2 = ok (Serve.Client.wait ~socket id2) in
-  Alcotest.(check (option string)) "second hit the cache" (Some "hit") (jstr j2 "cache");
-  (* Malformed and protocol-error requests answer with ok:false, and the
-     connection-per-request model survives them. *)
-  (match Serve.Client.request ~socket (Obs.Json.Str "not a request") with
-  | Ok resp -> Alcotest.(check bool) "error response" true (Serve.Proto.response_error resp <> None)
-  | Error e -> Alcotest.failf "transport error: %s" e);
-  (match Serve.Client.status ~socket 999 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown id must be an error");
-  (* Stats reflect the two finished jobs and the cache hit. *)
-  let stats = ok (Serve.Client.stats ~socket ()) in
-  let jobs = Option.get (Obs.Json.mem_opt "jobs" stats) in
-  Alcotest.(check (option (float 0.0))) "two done" (Some 2.0) (jnum jobs "done");
-  let cache = Option.get (Obs.Json.mem_opt "cache" stats) in
-  Alcotest.(check bool) "hit rate > 0"
-    true
-    (match jnum cache "hit_rate" with Some r -> r > 0.0 | None -> false);
-  ok (Serve.Client.shutdown ~socket ());
-  Domain.join server;
-  Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket);
-  (* A client against a dead daemon gets a clear error, not a hang. *)
-  match Serve.Client.stats ~socket () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "dead daemon must be an error"
+(* Teardown that cannot hang: a refused shutdown is retried until the
+   deadline, and the server domain must exit by the same deadline —
+   otherwise the case fails with a message naming the daemon, instead of
+   blocking the whole test run. The boot wait has the same deadline. *)
+let teardown_s = 10.0
 
 (* Run [cfg] on its own domain and wait until it accepts. [exited] is set
-   as the domain's last act, so teardown can wait for it with a deadline
-   ([Domain.join] has none). *)
-let start_server ?tcp_port ?pool cfg =
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let ready = ref false in
-  let exited = Atomic.make false in
+   as the domain's last act, so boot and teardown can wait for it with a
+   deadline ([Domain.join] has none). A daemon that dies before it accepts
+   (say [Unix.bind] raises) is an [Error] naming the socket and the
+   exception. *)
+let boot_server ?tcp_port ?pool cfg =
+  let socket = cfg.Serve.Server.socket_path in
+  let ready = Atomic.make false and exited = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
         Fun.protect
           ~finally:(fun () -> Atomic.set exited true)
           (fun () ->
-            Serve.Server.run ?tcp_port ?pool
-              ~ready:(fun () ->
-                Mutex.lock ready_m;
-                ready := true;
-                Condition.signal ready_c;
-                Mutex.unlock ready_m)
-              cfg))
+            Serve.Server.run ?tcp_port ?pool ~ready:(fun () -> Atomic.set ready true) cfg))
   in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  (server, exited)
+  let deadline = Unix.gettimeofday () +. teardown_s in
+  let rec await () =
+    if Atomic.get ready then Ok (server, exited)
+    else if Atomic.get exited then
+      match Domain.join server with
+      | () -> Error (Printf.sprintf "daemon %s returned before it accepted" socket)
+      | exception e ->
+          Error (Printf.sprintf "daemon %s died at boot: %s" socket (Printexc.to_string e))
+    else if Unix.gettimeofday () > deadline then
+      Error (Printf.sprintf "daemon %s did not accept within %.0f s" socket teardown_s)
+    else begin
+      Unix.sleepf 0.01;
+      await ()
+    end
+  in
+  await ()
 
-(* Teardown that cannot hang: a refused shutdown is retried until the
-   deadline, and the server domain must exit by the same deadline —
-   otherwise the case fails with a message naming the daemon, instead of
-   blocking the whole test run. *)
-let teardown_s = 10.0
+let start_server ?tcp_port ?pool cfg =
+  match boot_server ?tcp_port ?pool cfg with
+  | Ok server -> server
+  | Error e -> Alcotest.failf "boot: %s" e
 
 let stop_server ~socket ?auth (server, exited) =
   let deadline = Unix.gettimeofday () +. teardown_s in
@@ -544,6 +489,60 @@ let with_server ?workers ?max_connections ?idle_timeout_s f =
   let socket = cfg.Serve.Server.socket_path in
   let server = start_server cfg in
   Fun.protect ~finally:(fun () -> stop_server ~socket server) (fun () -> f socket)
+
+let test_server_end_to_end () =
+  let socket =
+    with_server ~workers:1 (fun socket ->
+        (* Submit twice: the second compile must hit the cache. *)
+        let id1 = ok (Serve.Client.submit ~socket (submission ~moves:300 ())) in
+        let j1 = ok (Serve.Client.wait ~socket id1) in
+        Alcotest.(check (option string)) "first done" (Some "done") (jstr j1 "state");
+        Alcotest.(check (option string)) "first missed the cache" (Some "miss") (jstr j1 "cache");
+        let id2 = ok (Serve.Client.submit ~socket (submission ~moves:300 ~seed:2 ())) in
+        let j2 = ok (Serve.Client.wait ~socket id2) in
+        Alcotest.(check (option string)) "second hit the cache" (Some "hit") (jstr j2 "cache");
+        (* Malformed and protocol-error requests answer with ok:false, and
+           the connection-per-request model survives them. *)
+        (match Serve.Client.request ~socket (Obs.Json.Str "not a request") with
+        | Ok resp ->
+            Alcotest.(check bool) "error response" true (Serve.Proto.response_error resp <> None)
+        | Error e -> Alcotest.failf "transport error: %s" e);
+        (match Serve.Client.status ~socket 999 with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "unknown id must be an error");
+        (* Stats reflect the two finished jobs and the cache hit. *)
+        let stats = ok (Serve.Client.stats ~socket ()) in
+        let jobs = Option.get (Obs.Json.mem_opt "jobs" stats) in
+        Alcotest.(check (option (float 0.0))) "two done" (Some 2.0) (jnum jobs "done");
+        let cache = Option.get (Obs.Json.mem_opt "cache" stats) in
+        Alcotest.(check bool) "hit rate > 0"
+          true
+          (match jnum cache "hit_rate" with Some r -> r > 0.0 | None -> false);
+        socket)
+  in
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket);
+  (* A client against a dead daemon gets a clear error, not a hang. *)
+  match Serve.Client.stats ~socket () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "dead daemon must be an error"
+
+(* A daemon that dies at boot fails its case promptly, naming the socket
+   and the exception, instead of hanging the run: under a directory that
+   does not exist the socket cannot be bound. *)
+let test_server_boot_failure () =
+  let socket =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "oblxd-missing-%d" (Unix.getpid ())))
+      "oblxd.sock"
+  in
+  match boot_server { (server_config ()) with Serve.Server.socket_path = socket } with
+  | Ok server ->
+      stop_server ~socket server;
+      Alcotest.fail "a socket under a missing directory must not boot"
+  | Error e ->
+      Alcotest.(check bool) ("names the socket: " ^ e) true (contains e socket);
+      Alcotest.(check bool) ("names the exception: " ^ e) true (contains e "ENOENT")
 
 let connect_raw socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1809,6 +1808,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end over the socket" `Slow test_server_end_to_end;
+          Alcotest.test_case "boot failure is reported" `Quick test_server_boot_failure;
           Alcotest.test_case "concurrent clients" `Quick test_server_concurrent_clients;
           Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
           Alcotest.test_case "idle timeout" `Quick test_server_idle_timeout;
